@@ -300,9 +300,6 @@ crosscheckJob(const std::string &key, const TraceSpec &spec,
             globalTraceStore().get(spec, defaultTraceLength());
         ServiceConfig config;
         config.shards = shards;
-        // Deterministic mode drains batch-per-request; audit every
-        // request would be O(table-size * trace-length) per cell.
-        config.auditEveryBatches = 256;
         auto checked = crosscheckTrace(*trace, hybridFactory(), config);
         if (!checked) {
             return std::move(checked.error())

@@ -28,13 +28,20 @@ counterOk(const SatCounter &counter)
     return counter.value() <= counter.max();
 }
 
-} // namespace
-
-Expected<void>
-auditLoadBuffer(const LoadBuffer &lb)
+/** History register within its configured width. */
+bool
+historyOk(const HistoryRegister &hist)
 {
-    const unsigned assoc = lb.config().assoc;
-    for (std::size_t i = 0; i < lb.numEntries(); ++i) {
+    return (hist.value() & ~mask(hist.numBits())) == 0;
+}
+
+/** The LB invariants of one set; the first failing slot's error. */
+Expected<void>
+checkLoadBufferSet(const LoadBuffer &lb, std::size_t set)
+{
+    const std::size_t assoc = lb.config().assoc;
+    const std::size_t base = set * assoc;
+    for (std::size_t i = base; i < base + assoc; ++i) {
         // Probe-lane coherence: a valid way's control byte must be
         // the fingerprint of its full tag, or lookup() could miss a
         // resident entry.
@@ -42,29 +49,26 @@ auditLoadBuffer(const LoadBuffer &lb)
             return corrupt("control byte disagrees with tag lane",
                            "LB", i);
         }
-
-        const LBEntryImage entry = lb.imageAt(i);
-        if (!entry.valid)
+        if (!lb.validAt(i))
             continue;
 
         // Tag uniqueness within the set: a duplicated tag would make
         // lookup() results depend on way order.
-        const std::size_t set = i / assoc;
-        for (std::size_t j = set * assoc; j < i; ++j) {
-            const LBEntryImage other = lb.imageAt(j);
-            if (other.valid && other.tag == entry.tag) {
+        const std::uint64_t tag = lb.tagAt(i);
+        for (std::size_t j = base; j < i; ++j) {
+            if (lb.validAt(j) && lb.tagAt(j) == tag) {
                 return corrupt("duplicate LB tag 0x" +
-                                   std::to_string(entry.tag) +
-                                   " in set " + std::to_string(set),
+                                   std::to_string(tag) + " in set " +
+                                   std::to_string(set),
                                "LB", i);
             }
         }
 
         // History registers must fit their configured width.
-        if ((entry.hist.value() & ~mask(entry.hist.numBits())) != 0)
+        const LBEntry &entry = lb.coldAt(i);
+        if (!historyOk(entry.hist))
             return corrupt("history value exceeds width", "LB", i);
-        if ((entry.specHist.value() &
-             ~mask(entry.specHist.numBits())) != 0) {
+        if (!historyOk(entry.specHist)) {
             return corrupt("speculative history value exceeds width",
                            "LB", i);
         }
@@ -82,49 +86,63 @@ auditLoadBuffer(const LoadBuffer &lb)
     return ok();
 }
 
+/** The LT invariants of one set; the first failing slot's error. */
 Expected<void>
-auditLinkTable(const LinkTable &lt)
+checkLinkTableSet(const LinkTable &lt, std::size_t set)
 {
     const CapConfig &config = lt.config();
-    const unsigned assoc = lt.assoc();
-    for (std::size_t i = 0; i < lt.numEntries(); ++i) {
+    const std::size_t assoc = lt.assoc();
+    const std::size_t base = set * assoc;
+    for (std::size_t i = base; i < base + assoc; ++i) {
         // Packed probe word must agree with the full-tag lane.
         if (!lt.lanesCoherentAt(i)) {
             return corrupt("probe word disagrees with tag lane", "LT",
                            i);
         }
 
-        const LTEntry entry = lt.imageAt(i);
-
         // PF bits live in bits [0, pfBits); anything above means a
         // raw write landed outside the mechanism's field.
-        if ((entry.pf & ~mask(config.pfBits)) != 0)
+        if ((lt.pfAt(i) & ~mask(config.pfBits)) != 0)
             return corrupt("PF bits exceed configured width", "LT", i);
 
-        if (!entry.valid)
+        if (!lt.validAt(i))
             continue;
 
         // Tags are history MSBs truncated to ltTagBits.
-        if ((entry.tag & ~mask(config.ltTagBits)) != 0)
+        const std::uint64_t tag = lt.tagAt(i);
+        if ((tag & ~mask(config.ltTagBits)) != 0)
             return corrupt("tag exceeds ltTagBits", "LT", i);
 
         // Tag uniqueness within a set (associative organizations;
         // direct-mapped sets hold one entry, nothing to collide).
-        const std::size_t set = i / assoc;
-        if (config.ltTagBits > 0) {
-            for (std::size_t j = set * assoc; j < i; ++j) {
-                const LTEntry other = lt.imageAt(j);
-                if (other.valid && other.tag == entry.tag) {
-                    return corrupt("duplicate LT tag 0x" +
-                                       std::to_string(entry.tag) +
-                                       " in set " +
-                                       std::to_string(set),
-                                   "LT", i);
-                }
+        if (config.ltTagBits == 0)
+            continue;
+        for (std::size_t j = base; j < i; ++j) {
+            if (lt.validAt(j) && lt.tagAt(j) == tag) {
+                return corrupt("duplicate LT tag 0x" +
+                                   std::to_string(tag) + " in set " +
+                                   std::to_string(set),
+                               "LT", i);
             }
         }
     }
     return ok();
+}
+
+} // namespace
+
+Expected<void>
+auditLoadBuffer(const LoadBuffer &lb)
+{
+    return lb.dirty_.sweep(
+        [&lb](std::size_t set) { return checkLoadBufferSet(lb, set); });
+}
+
+Expected<void>
+auditLinkTable(const LinkTable &lt)
+{
+    return lt.dirty_.sweep(
+        [&lt](std::size_t set) { return checkLinkTableSet(lt, set); });
 }
 
 } // namespace clap

@@ -22,6 +22,10 @@
  * with the load buffer when the owning predictor provides one. The
  * PF-validity lane is a packed byte lane (no vector<bool> bit
  * proxies on the update path).
+ *
+ * update(), setImageAt() and clear() mark the sets they write in a
+ * DirtySets map, so the auditor (core/audit.hh) checks only the
+ * sets written since they last passed.
  */
 
 #ifndef CLAP_CORE_LINK_TABLE_HH
@@ -31,6 +35,7 @@
 #include <cstdint>
 #include <memory>
 
+#include "core/audit.hh"
 #include "core/config.hh"
 #include "core/probe_lanes.hh"
 #include "util/bits.hh"
@@ -80,7 +85,8 @@ class LinkTable
           setMask_(sets_ - 1),
           pfTableSize_(config.pfTableBits != 0
                            ? std::size_t{1} << config.pfTableBits
-                           : 0)
+                           : 0),
+          dirty_(sets_)
     {
         assert(assoc_ == 1 || config.ltTagBits > 0);
         assert(isPowerOf2(sets_));
@@ -175,6 +181,7 @@ class LinkTable
     {
         const std::size_t victim = selectVictim(hist);
         const std::uint8_t pf_new = pfBitsOf(base);
+        dirty_.mark(setIndex(hist));
 
         bool pf_match;
         if (config_.pfTableBits != 0) {
@@ -251,7 +258,13 @@ class LinkTable
         pf_[i] = entry.pf;
         pfValid_[i] = entry.pfValid ? 1 : 0;
         lru_[i] = entry.lru;
+        dirty_.mark(i / assoc_);
     }
+
+    /** Lane fields of slot @p i, read in place (core/audit.hh). */
+    bool validAt(std::size_t i) const { return (probe_[i] & kValidBit) != 0; }
+    std::uint64_t tagAt(std::size_t i) const { return tags_[i]; }
+    std::uint8_t pfAt(std::size_t i) const { return pf_[i]; }
 
     /** Lane coherence of slot @p i: the packed probe word must agree
      *  with the full-tag lane and validity (core/audit.hh). */
@@ -282,6 +295,7 @@ class LinkTable
         }
         for (std::size_t i = 0; i < pfTableSize_; ++i)
             pfTableValid_[i] = 0;
+        dirty_.markAll();
     }
 
     /// @name State serialization support (core/state_io)
@@ -316,6 +330,8 @@ class LinkTable
     /// @}
 
   private:
+    friend Expected<void> auditLinkTable(const LinkTable &lt);
+
     static constexpr std::uint64_t kValidBit = std::uint64_t{1} << 63;
 
     std::size_t
@@ -379,6 +395,9 @@ class LinkTable
     std::uint64_t linkWrites_ = 0;
     std::uint64_t linkOverwrites_ = 0;
     std::uint64_t pfFiltered_ = 0;
+    /// Sets written since they last passed the audit. Audit
+    /// bookkeeping, not predictor state: the const audit clears it.
+    mutable DirtySets dirty_;
 
     /** PF bits: bits 2..2+pfBits-1 of the base address. */
     std::uint8_t

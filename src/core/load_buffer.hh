@@ -17,6 +17,11 @@
  * stamps, generation handles, entry images — is bit-for-bit identical
  * to the scalar array-of-structs implementation; the differential
  * fuzz tests in tests/test_probe_lanes.cc hold the two to equality.
+ *
+ * Every path that hands out or performs a mutable access to a set
+ * (lookup hit, acquire, allocate, mutable coldAt, setImageAt, clear)
+ * marks it in a DirtySets map, so the auditor (core/audit.hh)
+ * checks only the sets written since they last passed.
  */
 
 #ifndef CLAP_CORE_LOAD_BUFFER_HH
@@ -27,6 +32,7 @@
 #include <memory>
 #include <vector>
 
+#include "core/audit.hh"
 #include "core/config.hh"
 #include "core/history.hh"
 #include "core/predictor.hh"
@@ -124,7 +130,8 @@ class LoadBuffer
           assocShift_(floorLog2(config.assoc)),
           ctrlWordsPerSet_((config.assoc + 7) / 8),
           cold_(config.entries),
-          gens_(config.entries, 0)
+          gens_(config.entries, 0),
+          dirty_(sets_)
     {
         assert(isPowerOf2(sets_) && isPowerOf2(assoc_));
         if (arena == nullptr) {
@@ -169,6 +176,7 @@ class LoadBuffer
                     word_base + std::countr_zero(ways);
                 if (tags_[slot] == tag) {
                     lru_[slot] = ++stamp_;
+                    dirty_.mark(set);
                     return &cold_[slot];
                 }
                 ways &= ways - 1;
@@ -207,6 +215,7 @@ class LoadBuffer
             prefetchRead(&cold_[slot]);
             if (validAt(slot) && tags_[slot] == pcTag(pc)) {
                 lru_[slot] = ++stamp_;
+                dirty_.mark(slot >> assocShift_);
                 return &cold_[slot];
             }
         }
@@ -221,7 +230,8 @@ class LoadBuffer
     LBEntry &
     allocate(std::uint64_t pc)
     {
-        const std::size_t base = setIndex(pc) << assocShift_;
+        const std::size_t set = setIndex(pc);
+        const std::size_t base = set << assocShift_;
         std::size_t victim = base;
         for (unsigned w = 1; w < assoc_; ++w) {
             if (!validAt(victim))
@@ -238,6 +248,7 @@ class LoadBuffer
         tags_[victim] = tag;
         lru_[victim] = ++stamp_;
         setCtrlByteAt(victim, probe::ctrlByte(tag));
+        dirty_.mark(set);
         ++allocations_;
         return cold_[victim];
     }
@@ -276,12 +287,21 @@ class LoadBuffer
         lru_[i] = image.lruStamp;
         setCtrlByteAt(i, image.valid ? probe::ctrlByte(image.tag)
                                      : std::uint8_t{0});
+        dirty_.mark(i >> assocShift_);
     }
 
     /** Mutable cold fields of slot @p i (fault injection targets the
      *  histories and counters; the probe lanes are unaffected). */
-    LBEntry &coldAt(std::size_t i) { return cold_[i]; }
+    LBEntry &
+    coldAt(std::size_t i)
+    {
+        dirty_.mark(i >> assocShift_);
+        return cold_[i];
+    }
     const LBEntry &coldAt(std::size_t i) const { return cold_[i]; }
+
+    /** Full tag lane of slot @p i. */
+    std::uint64_t tagAt(std::size_t i) const { return tags_[i]; }
 
     bool
     validAt(std::size_t i) const
@@ -313,6 +333,7 @@ class LoadBuffer
         }
         for (auto &gen : gens_)
             ++gen;
+        dirty_.markAll();
     }
 
     /// @name State serialization support (core/state_io)
@@ -329,6 +350,8 @@ class LoadBuffer
     /// @}
 
   private:
+    friend Expected<void> auditLoadBuffer(const LoadBuffer &lb);
+
     std::size_t
     setIndex(std::uint64_t pc) const
     {
@@ -374,6 +397,9 @@ class LoadBuffer
     std::uint64_t *lru_ = nullptr;  ///< LRU stamps, per slot
     std::vector<LBEntry> cold_;
     std::vector<std::uint32_t> gens_; ///< per-slot allocation generation
+    /// Sets written since they last passed the audit. Audit
+    /// bookkeeping, not predictor state: the const audit clears it.
+    mutable DirtySets dirty_;
     std::uint64_t stamp_ = 0;
     std::uint64_t allocations_ = 0;
 };

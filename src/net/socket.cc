@@ -199,13 +199,23 @@ SocketStream::shutdownBoth()
 
 Listener::~Listener()
 {
+    release();
+}
+
+void
+Listener::release()
+{
     close();
+    if (fd_ >= 0) {
+        ::close(fd_);
+        fd_ = -1;
+    }
 }
 
 Expected<void>
 Listener::listen(const Endpoint &endpoint, int backlog)
 {
-    close();
+    release();
     if (endpoint.kind == Endpoint::Kind::Unix) {
         const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
         if (fd < 0)
@@ -230,6 +240,7 @@ Listener::listen(const Endpoint &endpoint, int backlog)
         }
         fd_ = fd;
         bound_ = endpoint;
+        closed_.store(false, std::memory_order_release);
         return ok();
     }
 
@@ -272,27 +283,29 @@ Listener::listen(const Endpoint &endpoint, int backlog)
     fd_ = fd;
     bound_ = endpoint;
     bound_.port = ntohs(actual.sin_port);
+    closed_.store(false, std::memory_order_release);
     return ok();
 }
 
 Expected<std::unique_ptr<SocketStream>>
 Listener::accept(int deadline_ms)
 {
-    const int fd = fd_;
-    if (fd < 0)
+    if (closed_.load(std::memory_order_acquire))
         return makeError(ErrorCode::Shutdown, "listener closed");
-    auto ready = pollFd(fd, POLLIN, deadline_ms);
+    auto ready = pollFd(fd_, POLLIN, deadline_ms);
     if (!ready) {
-        if (fd_ < 0)
+        if (closed_.load(std::memory_order_acquire))
             return makeError(ErrorCode::Shutdown, "listener closed");
         return ready.error();
     }
     if (!*ready)
         return makeError(ErrorCode::DeadlineExceeded,
                          "accept deadline expired");
-    const int conn = ::accept(fd, nullptr, nullptr);
+    const int conn = ::accept(fd_, nullptr, nullptr);
     if (conn < 0) {
-        if (fd_ < 0 || errno == EBADF || errno == EINVAL)
+        // A shut-down listening socket fails accept() with EINVAL.
+        if (closed_.load(std::memory_order_acquire) ||
+            errno == EBADF || errno == EINVAL)
             return makeError(ErrorCode::Shutdown, "listener closed");
         return errnoError(ErrorCode::IoError, "accept");
     }
@@ -308,12 +321,10 @@ Listener::accept(int deadline_ms)
 void
 Listener::close()
 {
-    if (fd_ < 0)
+    if (closed_.exchange(true, std::memory_order_acq_rel))
         return;
-    const int fd = fd_;
-    fd_ = -1;
-    ::shutdown(fd, SHUT_RDWR);
-    ::close(fd);
+    // Wakes a poll() in accept(), which then sees closed_.
+    ::shutdown(fd_, SHUT_RDWR);
     if (bound_.kind == Endpoint::Kind::Unix && !bound_.path.empty())
         ::unlink(bound_.path.c_str());
 }

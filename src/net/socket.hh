@@ -20,6 +20,7 @@
 #ifndef CLAP_NET_SOCKET_HH
 #define CLAP_NET_SOCKET_HH
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -131,14 +132,25 @@ class Listener
      */
     Expected<std::unique_ptr<SocketStream>> accept(int deadline_ms);
 
-    /** Close the listening fd (and unlink a Unix socket path). */
+    /**
+     * Stop listening: mark the listener closed, shut the socket down
+     * to wake an accept() blocked on it, and unlink a Unix socket
+     * path. Safe to call while another thread is in accept(). The fd
+     * itself stays open, so its number cannot be reused under that
+     * accept(); listen() or the destructor closes it, and neither may
+     * run concurrently with accept().
+     */
     void close();
 
     const Endpoint &boundEndpoint() const { return bound_; }
-    bool listening() const { return fd_ >= 0; }
+    bool listening() const { return !closed_.load(); }
 
   private:
-    int fd_ = -1;
+    /** close(), then release the fd. @pre no accept() is running */
+    void release();
+
+    int fd_ = -1; ///< written only by listen() and release()
+    std::atomic<bool> closed_{true};
     Endpoint bound_;
 };
 

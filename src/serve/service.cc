@@ -24,7 +24,8 @@ namespace
  * Rendezvous for a synchronous predict(): the client blocks on
  * wait() while the shard worker computes the prediction and calls
  * complete(). Stack-allocated in predict(), so completion must (and
- * does) happen before predict() returns.
+ * does) happen before predict() returns, and the slot dies as soon
+ * as wait() returns.
  */
 struct ResponseSlot
 {
@@ -36,11 +37,13 @@ struct ResponseSlot
     void
     complete(const Prediction &pred)
     {
-        {
-            std::lock_guard<std::mutex> lock(mutex);
-            value = pred;
-            done = true;
-        }
+        // Notify while still holding the lock. Once the lock drops,
+        // the waiter may see done, return from predict() and destroy
+        // this slot, condvar included, while notify_one() is still
+        // touching it.
+        std::lock_guard<std::mutex> lock(mutex);
+        value = pred;
+        done = true;
         ready.notify_one();
     }
 
@@ -399,6 +402,8 @@ PredictionService::processBatch(Shard &shard,
         obs::histogram("serve.stage.queue_wait_ns");
     static obs::Histogram &computeNs =
         obs::histogram("serve.stage.compute_ns");
+    static obs::Histogram &auditNs =
+        obs::histogram("serve.stage.audit_ns");
 
     obs::Span span("serve.batch", "serve");
     std::uint64_t batch_predicts = 0;
@@ -471,8 +476,10 @@ PredictionService::processBatch(Shard &shard,
             if (config_.auditEveryBatches != 0 &&
                 shard.batches % config_.auditEveryBatches == 0) {
                 ++shard.audits;
-                if (auto audit = shard.predictor->audit();
-                    !audit && !shard.auditFailed) {
+                const std::uint64_t auditStartNs = obs::stageNowNs();
+                auto audit = shard.predictor->audit();
+                auditNs.record(obs::stageNowNs() - auditStartNs);
+                if (!audit && !shard.auditFailed) {
                     shard.auditFailed = true;
                     shard.auditError =
                         std::move(audit.error())

@@ -80,7 +80,11 @@ struct ServiceConfig
 
     /// Run the structural auditor on a shard's predictor after every
     /// N-th processed batch (0 disables). Audit failures are recorded
-    /// per shard and surfaced via PredictionService::health().
+    /// per shard and surfaced via PredictionService::health(). The
+    /// audit is incremental (core/audit.hh): it checks only the table
+    /// sets written since the last passing audit, so its cost tracks
+    /// the batch's own writes and auditing every batch is cheap.
+    /// Each audit's duration is recorded as serve.stage.audit_ns.
     unsigned auditEveryBatches = 1;
 
     /// Bounded per-shard journal of requests applied since the last

@@ -964,8 +964,14 @@ TEST(NetObs, RemoteScrapeReturnsStructuredJson)
     ASSERT_EQ(shards->kind, JsonValue::Kind::Array);
     EXPECT_EQ(shards->items.size(), 2u);
     // Timing sections (the wall-clock histograms) ride along only
-    // when asked for.
-    EXPECT_NE(parsed->find("timing"), nullptr);
+    // when asked for. They carry every per-batch serve stage,
+    // including the audit that runs between compute and the reply.
+    const JsonValue *timing = parsed->find("timing");
+    ASSERT_NE(timing, nullptr);
+    for (const char *stage :
+         {"serve.stage.queue_wait_ns", "serve.stage.compute_ns",
+          "serve.stage.audit_ns"})
+        EXPECT_NE(timing->find(stage), nullptr) << stage;
 
     auto stable = client.fetchObs(/*include_timing=*/false);
     ASSERT_TRUE(stable) << stable.error().str();

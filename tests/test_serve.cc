@@ -5,11 +5,14 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <functional>
 #include <mutex>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "audit_oracle.hh"
 #include "core/hybrid_predictor.hh"
 #include "core/stride_predictor.hh"
 #include "serve/crosscheck.hh"
@@ -179,7 +182,6 @@ TEST(ServeCrosscheck, OneShardMatchesPredictorSimExactly)
     const Trace trace = testTrace();
     ServiceConfig config;
     config.shards = 1;
-    config.auditEveryBatches = 64;
     auto checked = crosscheckTrace(trace, testHybridFactory(), config);
     ASSERT_TRUE(checked) << checked.error().str();
     EXPECT_TRUE(checked->equal());
@@ -198,7 +200,6 @@ TEST(ServeCrosscheck, FourShardsMatchShardedReference)
     const Trace trace = testTrace();
     ServiceConfig config;
     config.shards = 4;
-    config.auditEveryBatches = 64;
     auto checked = crosscheckTrace(trace, testHybridFactory(), config);
     ASSERT_TRUE(checked) << checked.error().str();
     EXPECT_TRUE(checked->equal());
@@ -216,7 +217,6 @@ TEST(ServeCrosscheck, WorksForStridePredictorToo)
     const Trace trace = testTrace("MM");
     ServiceConfig config;
     config.shards = 2;
-    config.auditEveryBatches = 64;
     auto checked = crosscheckTrace(
         trace,
         [] {
@@ -267,6 +267,88 @@ TEST(ServeDeterministic, AuditRunsPerBatch)
     EXPECT_EQ(snaps[0].trains, 8u);
     EXPECT_FALSE(snaps[0].auditFailed);
     EXPECT_TRUE(service.health());
+}
+
+TEST(ServeDeterministic, AuditFindsCorruptionNoLaterRequestTouches)
+{
+    // A raw write marks its table set, so the per-batch audit finds
+    // corruption in sets the batch itself never writes, and reports
+    // the full-sweep oracle's first error.
+    ServiceConfig config;
+    config.shards = 1;
+    config.deterministic = true;
+    config.journalCapacity = 1024;
+    PredictionService service(config, testHybridFactory());
+    ClientSession session = service.connect();
+    for (std::uint64_t i = 0; i < 64; ++i) {
+        const std::uint64_t pc = 0x2000 + (i % 8) * 4;
+        auto pred = session.predict(pc, 0);
+        ASSERT_TRUE(pred);
+        ASSERT_TRUE(session.train(pc, 0, 0x8000 + i * 16, *pred));
+    }
+    auto captured = service.captureShardState(0);
+    ASSERT_TRUE(captured) << captured.error().str();
+
+    // The oracle's per-batch error on the shard's tables ("" = clean).
+    const auto oracleError = [&service] {
+        std::string text;
+        service.withShardPredictor(0, [&text](AddressPredictor &p) {
+            const auto &hybrid = dynamic_cast<HybridPredictor &>(p);
+            auto verdict = test::sweepPredictorTables(
+                hybrid.loadBuffer(),
+                &hybrid.capComponent().linkTable(), "hybrid predictor");
+            if (!verdict) {
+                text = std::move(verdict.error())
+                           .withContext("per-batch audit")
+                           .str();
+            }
+        });
+        return text;
+    };
+    // Corrupt the last LT set, then the last LB set. The later
+    // predict (PC 0x9000, LB set 1024) writes neither, and a predict
+    // never writes the LT.
+    const std::function<void(HybridPredictor &)> corruptions[] = {
+        [](HybridPredictor &hybrid) {
+            LinkTable &lt = hybrid.capComponent().linkTable();
+            LTEntry entry;
+            entry.valid = true;
+            entry.tag = mask(lt.config().ltTagBits) + 1;
+            lt.setImageAt(lt.numEntries() - 1, entry);
+        },
+        [](HybridPredictor &hybrid) {
+            LoadBuffer &lb = hybrid.loadBuffer();
+            LBEntryImage image;
+            image.valid = true;
+            image.tag = 0x77;
+            const std::size_t base = lb.numEntries() - lb.config().assoc;
+            lb.setImageAt(base, image);
+            lb.setImageAt(base + 1, image);
+        },
+    };
+    for (const auto &corrupt : corruptions) {
+        service.withShardPredictor(0, [&corrupt](AddressPredictor &p) {
+            corrupt(dynamic_cast<HybridPredictor &>(p));
+        });
+        EXPECT_FALSE(service.snapshot()[0].auditFailed);
+        ASSERT_TRUE(session.predict(0x9000, 0));
+
+        const ShardSnapshot failed = service.snapshot()[0];
+        const std::string want = oracleError();
+        ASSERT_FALSE(want.empty());
+        EXPECT_TRUE(failed.auditFailed);
+        EXPECT_EQ(failed.auditError.str(), want);
+
+        auto restored = service.restoreShardState(0, *captured);
+        ASSERT_TRUE(restored) << restored.error().str();
+        EXPECT_TRUE(service.shardHealth(0));
+        EXPECT_EQ(oracleError(), "");
+        service.withShardPredictor(0, [](AddressPredictor &p) {
+            EXPECT_TRUE(p.audit());
+        });
+        ASSERT_TRUE(session.predict(0x9000, 0));
+        EXPECT_FALSE(service.snapshot()[0].auditFailed);
+    }
 }
 
 TEST(ServeSession, HistoryTracksBranchesAndCalls)

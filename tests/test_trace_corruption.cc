@@ -86,6 +86,18 @@ struct CorruptionCase
     ErrorCode expected;
 };
 
+/**
+ * Print a case by its patch offset and expected code. Without this
+ * gtest dumps the raw struct bytes, which include the label pointer,
+ * so the listed test names (and thus the ctest names) would change
+ * with every run under ASLR.
+ */
+void
+PrintTo(const CorruptionCase &c, std::ostream *os)
+{
+    *os << '@' << c.offset << ' ' << errorCodeName(c.expected);
+}
+
 const CorruptionCase corruptionCases[] = {
     {"flipped magic byte", 0, {'X'}, ErrorCode::BadMagic},
     {"zeroed magic", 0, {0, 0, 0, 0, 0, 0, 0, 0}, ErrorCode::BadMagic},
