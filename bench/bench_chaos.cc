@@ -27,10 +27,10 @@
  *    zero shards end unrecovered or quarantined, and the service is
  *    healthy at the end.
  *
- * Everything is seeded (--chaos-seed) and the service runs in
- * deterministic mode, so BENCH_chaos.json is byte-identical across
- * runs with the same seed and environment. Flags, on top of the
- * shared bench/sweep flags:
+ * Everything is seeded (--chaos-seed) and one thread drives the
+ * service, so BENCH_chaos.json is byte-identical across runs with
+ * the same seed and environment. Flags, on top of the shared
+ * bench/sweep flags:
  *
  *   --chaos-seed=N  injection-sequence seed (default 0xc4a05)
  *
@@ -193,7 +193,6 @@ runChaosCell(const std::string &phase, const TraceSpec &spec,
 
     ServiceConfig config;
     config.shards = shards;
-    config.deterministic = true;
     config.overload = OverloadPolicy::Block;
     config.auditEveryBatches = 64;
     config.journalCapacity = 32768;

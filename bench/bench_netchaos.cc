@@ -93,7 +93,6 @@ runChildServe(const std::string &endpoint, unsigned shards,
     std::signal(SIGPIPE, SIG_IGN);
     ServiceConfig serviceConfig;
     serviceConfig.shards = shards;
-    serviceConfig.deterministic = true;
     serviceConfig.overload = OverloadPolicy::Block;
     PredictionService service(serviceConfig, hybridFactory());
 
@@ -326,7 +325,6 @@ runChaosTier(const ChaosTier &tier, const Trace &trace)
 
     ServiceConfig serviceConfig;
     serviceConfig.shards = 2;
-    serviceConfig.deterministic = true;
     serviceConfig.overload = OverloadPolicy::Block;
     PredictionService service(serviceConfig, hybridFactory());
 

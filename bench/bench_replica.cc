@@ -100,7 +100,6 @@ runChildServe(const std::string &endpoint, unsigned shards,
     std::signal(SIGPIPE, SIG_IGN);
     ServiceConfig serviceConfig;
     serviceConfig.shards = shards;
-    serviceConfig.deterministic = true;
     serviceConfig.overload = OverloadPolicy::Block;
     PredictionService service(serviceConfig, hybridFactory());
 

@@ -4,7 +4,7 @@
  * M concurrent client threads replay workload-composer traces against
  * a PredictionService and the harness reports aggregate throughput,
  * per-request predict latency percentiles (p50/p95/p99), and
- * per-shard queue depth, for the 1-shard baseline versus the sharded
+ * per-shard in-flight depth, for the 1-shard baseline versus the sharded
  * configurations — the serving-layer scaling experiment the paper's
  * inline simulator cannot express.
  *

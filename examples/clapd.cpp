@@ -13,8 +13,7 @@
  *
  * Usage:
  *   clapd [--endpoint=unix:/tmp/clapd.sock | --endpoint=tcp:127.0.0.1:0]
- *         [--shards=N] [--queue-capacity=N] [--max-batch=N]
- *         [--deterministic] [--journal-capacity=N]
+ *         [--shards=N] [--queue-capacity=N] [--journal-capacity=N]
  *         [--supervise] [--snapshot-dir=DIR] [--snapshot-interval-ms=N]
  *         [--max-connections=N] [--max-inflight=N]
  *         [--read-deadline-ms=N] [--write-deadline-ms=N]
@@ -23,9 +22,9 @@
  *
  * --ready-fd=N writes one byte to descriptor N (then closes it) once
  * the listener is bound — the no-poll readiness handshake a parent
- * process (the migration driver) waits on. --deterministic runs the
- * service without worker threads, which makes a single-connection
- * request stream a pure function of its order — the mode the
+ * process (the migration driver) waits on. Requests run on their
+ * connection's thread under the shard lock, so a single-connection
+ * request stream is a pure function of its order — what the
  * migration equality check requires.
  *
  * clapd --probe=SPEC [--shutdown] turns the binary into a one-shot
@@ -140,9 +139,8 @@ usage(const char *argv0)
 {
     std::fprintf(stderr,
                  "usage: %s [--endpoint=SPEC] [--shards=N] "
-                 "[--queue-capacity=N] [--max-batch=N]\n"
-                 "          [--deterministic] [--journal-capacity=N] "
-                 "[--supervise]\n"
+                 "[--queue-capacity=N]\n"
+                 "          [--journal-capacity=N] [--supervise]\n"
                  "          [--snapshot-dir=DIR] "
                  "[--snapshot-interval-ms=N]\n"
                  "          [--max-connections=N] [--max-inflight=N]\n"
@@ -174,10 +172,6 @@ parseOptions(int argc, char **argv, Options &opts)
         } else if (const char *v = valueOf("--queue-capacity=")) {
             opts.service.queueCapacity =
                 static_cast<std::size_t>(std::atol(v));
-        } else if (const char *v = valueOf("--max-batch=")) {
-            opts.service.maxBatch = static_cast<std::size_t>(std::atol(v));
-        } else if (arg == "--deterministic") {
-            opts.service.deterministic = true;
         } else if (const char *v = valueOf("--journal-capacity=")) {
             opts.service.journalCapacity =
                 static_cast<std::size_t>(std::atol(v));

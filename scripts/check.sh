@@ -1,22 +1,28 @@
 #!/bin/sh
-# Build and run the full test suite in BOTH configurations:
+# Build and run the full test suite in three configurations:
 #
 #   1. the default (plain) config, the same one CI and developers use;
-#   2. RelWithDebInfo + -DCLAP_SANITIZE=address,undefined.
+#   2. RelWithDebInfo + -DCLAP_SANITIZE=address,undefined;
+#   3. RelWithDebInfo + -DCLAP_SANITIZE=thread.
 #
 # The robustness contract is that every corruption path (bad traces,
 # bad configs, injected faults) returns a typed error or degrades
-# gracefully -- never trips UB -- and this is the script that proves
-# it. Both configs run even if the first fails; the script exits
-# non-zero if either build or either ctest run failed.
+# gracefully -- never trips UB -- and that the concurrent paths
+# (service shards, gateway connections, replicas, supervisor) are
+# free of data races; this is the script that proves both. Every
+# config runs even if an earlier one fails; the script exits non-zero
+# if any build or ctest run failed. Any sanitizer report fails its
+# test (halt_on_error); there are no suppressions.
 #
 # Usage: scripts/check.sh [plain-build-dir] [asan-build-dir]
-#        (defaults: build, build-asan)
+#                         [tsan-build-dir]
+#        (defaults: build, build-asan, build-tsan)
 set -u
 
 cd "$(dirname "$0")/.."
 PLAIN_DIR=${1:-build}
 ASAN_DIR=${2:-build-asan}
+TSAN_DIR=${3:-build-tsan}
 STATUS=0
 
 run_config() {
@@ -35,10 +41,11 @@ run_config() {
         STATUS=1
         return
     fi
-    # halt_on_error makes any UBSan diagnostic fail the test run
-    # instead of scrolling past in the log.
+    # halt_on_error makes any UBSan or TSan diagnostic fail the test
+    # run instead of scrolling past in the log.
     if ! UBSAN_OPTIONS=print_stacktrace=1:halt_on_error=1 \
          ASAN_OPTIONS=strict_string_checks=1:detect_stack_use_after_return=1 \
+         TSAN_OPTIONS=halt_on_error=1:second_deadlock_stack=1 \
          ctest --test-dir "$_dir" --output-on-failure -j "$(nproc)"; then
         echo "check.sh: [$_label] ctest FAILED" >&2
         STATUS=1
@@ -50,10 +57,13 @@ run_config() {
 run_config "$PLAIN_DIR" "" "default"
 run_config "$ASAN_DIR" \
     "-DCMAKE_BUILD_TYPE=RelWithDebInfo -DCLAP_SANITIZE=address,undefined" \
-    "asan+ubsan"
+    "asan"
+run_config "$TSAN_DIR" \
+    "-DCMAKE_BUILD_TYPE=RelWithDebInfo -DCLAP_SANITIZE=thread" \
+    "tsan"
 
 if [ "$STATUS" -ne 0 ]; then
     echo "check.sh: FAILURES (see above)" >&2
     exit "$STATUS"
 fi
-echo "check.sh: all tests clean in both configurations"
+echo "check.sh: all tests clean in all three configurations"

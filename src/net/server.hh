@@ -8,9 +8,9 @@
  * bounded, and corrupt frames drop the connection with a best-effort
  * GoAway instead of ever reaching the predictor.
  *
- * Admission control maps the service's live queue depth — the same
- * signal `src/obs/` exports as serve.queue_depth — onto three
- * decisions:
+ * Admission control maps the service's in-flight gauge (callers
+ * inside or waiting for a shard, the signal `src/obs/` exports as
+ * serve.queue_depth) onto three decisions:
  *
  *   Accept  depth <  shedFraction   · capacity   serve everything
  *   Shed    depth >= shedFraction   · capacity   predicts fail

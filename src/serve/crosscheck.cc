@@ -98,7 +98,6 @@ Expected<CrosscheckResult>
 crosscheckTrace(const Trace &trace, const PredictorFactory &factory,
                 ServiceConfig config)
 {
-    config.deterministic = true;
     config.overload = OverloadPolicy::Block;
 
     CrosscheckResult result;
@@ -108,7 +107,7 @@ crosscheckTrace(const Trace &trace, const PredictorFactory &factory,
         auto replay = replayTrace(session, trace);
         if (!replay) {
             return std::move(replay.error())
-                .withContext("deterministic service replay");
+                .withContext("service replay");
         }
         service.stop();
         result.service = service.aggregateStats();

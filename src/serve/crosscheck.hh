@@ -1,8 +1,8 @@
 /**
  * @file
  * Trace replay through a service session, and the semantics
- * cross-check that anchors the whole serve/ layer: a deterministic
- * single-threaded service run over a trace must produce aggregate
+ * cross-check that anchors the whole serve/ layer: a
+ * single-client service run over a trace must produce aggregate
  * PredictionStats exactly — counter for counter — equal to the
  * sharded PredictorSim reference on the same trace. For one shard the
  * reference is a plain runPredictorSim over the unmodified trace; for
@@ -37,7 +37,7 @@ struct ReplayResult
     std::uint64_t unavailable = 0;///< requests shed while quarantined
 
     /// predict() round-trip latencies in nanoseconds, when requested
-    /// (enqueue to response; the client-visible service latency).
+    /// (call to return; the client-visible service latency).
     std::vector<std::uint32_t> latenciesNs;
 };
 
@@ -58,7 +58,7 @@ Expected<ReplayResult> replayTrace(ClientSession &session,
 /** Both sides of the semantics cross-check. */
 struct CrosscheckResult
 {
-    PredictionStats service;   ///< deterministic service aggregate
+    PredictionStats service;   ///< single-client service aggregate
     PredictionStats reference; ///< sharded PredictorSim aggregate
 
     bool equal() const { return service == reference; }
@@ -75,9 +75,8 @@ PredictionStats shardedReferenceStats(const Trace &trace,
                                       unsigned shards);
 
 /**
- * Run the full cross-check for @p trace: a deterministic service
- * (config forced to deterministic + Block so no request is shed)
- * against shardedReferenceStats with the same factory and shard
+ * Run the full cross-check for @p trace: a single-client service
+ * replay (config forced to Block so no request is shed) against shardedReferenceStats with the same factory and shard
  * count. Fails only on service errors; a stats mismatch is reported
  * through CrosscheckResult::equal() so callers can print both sides.
  */

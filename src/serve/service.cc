@@ -1,60 +1,20 @@
 #include "serve/service.hh"
 
-#include <atomic>
 #include <cassert>
-#include <condition_variable>
 #include <optional>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "obs/metrics.hh"
 #include "obs/stage_timer.hh"
 #include "obs/trace_context.hh"
 #include "obs/trace_events.hh"
-#include "serve/queue.hh"
 
 namespace clap
 {
 
 namespace
 {
-
-/**
- * Rendezvous for a synchronous predict(): the client blocks on
- * wait() while the shard worker computes the prediction and calls
- * complete(). Stack-allocated in predict(), so completion must (and
- * does) happen before predict() returns, and the slot dies as soon
- * as wait() returns.
- */
-struct ResponseSlot
-{
-    std::mutex mutex;
-    std::condition_variable ready;
-    bool done = false;
-    Prediction value;
-
-    void
-    complete(const Prediction &pred)
-    {
-        // Notify while still holding the lock. Once the lock drops,
-        // the waiter may see done, return from predict() and destroy
-        // this slot, condvar included, while notify_one() is still
-        // touching it.
-        std::lock_guard<std::mutex> lock(mutex);
-        value = pred;
-        done = true;
-        ready.notify_one();
-    }
-
-    Prediction
-    wait()
-    {
-        std::unique_lock<std::mutex> lock(mutex);
-        ready.wait(lock, [this] { return done; });
-        return value;
-    }
-};
 
 /// @name Serve-counter section (piggybacked on the state snapshot)
 /// Little-endian u64 stream: every PredictionStats counter followed by
@@ -149,41 +109,28 @@ constexpr std::uint32_t serveCountersSection = firstCallerSection;
 
 } // namespace
 
-/** One queued request; isTrain selects the active fields. */
+/** One request, as run and as journaled; isTrain selects the fields. */
 struct PredictionService::Request
 {
     bool isTrain = false;
     LoadInfo info;
     std::uint64_t actualAddr = 0; ///< train
     Prediction pred;              ///< train: the resolved prediction
-    ResponseSlot *slot = nullptr; ///< predict: completion rendezvous
-
-    /// Submitter's trace context, carried across the queue so the
-    /// shard worker's span nests under the request's distributed
-    /// trace (invalid when the submitter was untraced).
-    obs::TraceContext trace;
-
-    /// stageNowNs() at submit time; the worker's pickup timestamp
-    /// minus this is the request's queue-wait stage.
-    std::uint64_t enqueueNs = 0;
 };
 
 /**
- * One shard: a full predictor instance plus its mailbox, worker, and
+ * One shard: a full predictor instance, its in-flight gauge, and its
  * statistics. The mutex guards the predictor and every counter below
- * it; in threaded mode only the shard's worker takes it on the hot
- * path (snapshots take it briefly), in deterministic mode it
- * serialises the inline drains.
+ * it; each request takes it for its own batch, snapshots and the
+ * lifecycle calls take it briefly.
  */
 struct PredictionService::Shard
 {
-    explicit Shard(std::size_t queue_capacity) : queue(queue_capacity) {}
-
-    BoundedQueue<Request> queue;
-    std::atomic<std::uint64_t> rejected{0}; ///< producer-side counter
-
-    /// @name Lifecycle flags (checked lock-free on the submit path)
+    /// @name Admission (lock-free, on the request path)
     /// @{
+    std::atomic<std::size_t> inFlight{0}; ///< callers in or waiting
+    std::atomic<std::size_t> maxInFlight{0};
+    std::atomic<std::uint64_t> rejected{0};
     std::atomic<bool> quarantined{false};
     std::atomic<std::uint64_t> unavailable{0};
     std::atomic<bool> killNextBatch{false}; ///< chaos: injected throw
@@ -209,8 +156,6 @@ struct PredictionService::Shard
     bool workerFailed = false;
     Error workerError;
     /// @}
-
-    std::thread worker;
 };
 
 PredictionService::PredictionService(const ServiceConfig &config,
@@ -220,17 +165,10 @@ PredictionService::PredictionService(const ServiceConfig &config,
     assert(factory_ != nullptr);
     shards_.reserve(config_.shards);
     for (unsigned s = 0; s < config_.shards; ++s) {
-        auto shard = std::make_unique<Shard>(config_.queueCapacity);
+        auto shard = std::make_unique<Shard>();
         shard->predictor = factory_();
         assert(shard->predictor != nullptr);
         shards_.push_back(std::move(shard));
-    }
-    if (!config_.deterministic) {
-        for (auto &shard : shards_) {
-            Shard *raw = shard.get();
-            shard->worker =
-                std::thread([this, raw] { workerLoop(*raw); });
-        }
     }
 }
 
@@ -242,35 +180,29 @@ PredictionService::~PredictionService()
 void
 PredictionService::stop()
 {
-    {
-        std::lock_guard<std::mutex> lock(stopMutex_);
-        if (stopped_)
-            return;
-        stopped_ = true;
-    }
-    for (auto &shard : shards_)
-        shard->queue.close();
-    for (auto &shard : shards_) {
-        if (shard->worker.joinable())
-            shard->worker.join();
-        // Deterministic mode has no workers; drain any leftovers so
-        // stop() upholds the processed-not-dropped guarantee there
-        // too.
-        drainShard(*shard);
-    }
+    // Every gauge operation and both flag accesses are seq_cst: a
+    // caller either sees stopped_ after raising its gauge (and backs
+    // out), or this wait sees the raised gauge (and waits for it).
+    stopped_.store(true);
+    std::unique_lock<std::mutex> lock(stopMutex_);
+    drained_.wait(lock, [this] {
+        for (const auto &shard : shards_) {
+            if (shard->inFlight.load() != 0)
+                return false;
+        }
+        return true;
+    });
 }
 
 bool
 PredictionService::stopped() const
 {
-    std::lock_guard<std::mutex> lock(stopMutex_);
-    return stopped_;
+    return stopped_.load();
 }
 
 Expected<void>
-PredictionService::submit(Request request, unsigned shard_index)
+PredictionService::admit(Shard &shard, unsigned shard_index)
 {
-    Shard &shard = *shards_[shard_index];
     if (shard.quarantined.load(std::memory_order_acquire)) {
         shard.unavailable.fetch_add(1, std::memory_order_relaxed);
         static obs::Counter &unavailable =
@@ -280,49 +212,68 @@ PredictionService::submit(Request request, unsigned shard_index)
                          "shard quarantined pending recovery")
             .withContext("shard " + std::to_string(shard_index));
     }
-    const bool block = config_.overload == OverloadPolicy::Block &&
-                       !config_.deterministic;
-    switch (shard.queue.push(std::move(request), block)) {
-      case QueuePush::Ok:
-        break;
-      case QueuePush::Full:
-        shard.rejected.fetch_add(1, std::memory_order_relaxed);
-        {
-            static obs::Counter &rejects =
-                obs::counter("serve.rejects");
-            rejects.add();
-        }
-        return makeError(ErrorCode::Overloaded,
-                         "shard queue full (capacity " +
-                             std::to_string(config_.queueCapacity) + ")")
-            .withContext("shard " + std::to_string(shard_index));
-      case QueuePush::Closed:
-        // Structured Shutdown, not InvalidArgument: a producer that
-        // was blocked in push() when stop() closed the queue must
-        // wake with an error its caller can branch on (terminal, not
-        // retryable — see util/error.hh).
+    const std::size_t depth = shard.inFlight.fetch_add(1) + 1;
+    if (stopped_.load()) {
+        leave(shard);
+        // Terminal, not retryable (see util/error.hh).
         return makeError(ErrorCode::Shutdown,
                          "prediction service is stopped")
             .withContext("shard " + std::to_string(shard_index));
     }
-    if (config_.deterministic)
-        drainShard(shard);
+    if (config_.overload == OverloadPolicy::Reject &&
+        depth > config_.queueCapacity) {
+        leave(shard);
+        shard.rejected.fetch_add(1, std::memory_order_relaxed);
+        static obs::Counter &rejects = obs::counter("serve.rejects");
+        rejects.add();
+        return makeError(ErrorCode::Overloaded,
+                         "shard in-flight bound reached (" +
+                             std::to_string(config_.queueCapacity) + ")")
+            .withContext("shard " + std::to_string(shard_index));
+    }
+    std::size_t seen = shard.maxInFlight.load(std::memory_order_relaxed);
+    while (depth > seen &&
+           !shard.maxInFlight.compare_exchange_weak(
+               seen, depth, std::memory_order_relaxed)) {
+        // A failed exchange reloaded seen; retry while depth is higher.
+    }
+    static obs::Histogram &queueDepth =
+        obs::histogram("serve.queue_depth");
+    queueDepth.record(depth);
     return ok();
+}
+
+void
+PredictionService::leave(Shard &shard)
+{
+    if (shard.inFlight.fetch_sub(1) == 1 && stopped_.load()) {
+        std::lock_guard<std::mutex> lock(stopMutex_);
+        drained_.notify_all();
+    }
+}
+
+Expected<Prediction>
+PredictionService::serve(const Request &request)
+{
+    const std::uint64_t enteredNs = obs::stageNowNs();
+    const unsigned index = shardOf(request.info.pc);
+    Shard &shard = *shards_[index];
+    if (auto admitted = admit(shard, index); !admitted)
+        return std::move(admitted.error());
+    const Prediction pred = runBatch(shard, request, enteredNs);
+    leave(shard);
+    return pred;
 }
 
 Expected<Prediction>
 PredictionService::predict(const LoadInfo &info)
 {
-    ResponseSlot slot;
     Request request;
     request.info = info;
-    request.slot = &slot;
-    request.trace = obs::currentTraceContext();
-    request.enqueueNs = obs::stageNowNs();
-    if (auto submitted = submit(std::move(request), shardOf(info.pc));
-        !submitted)
-        return std::move(submitted.error()).withContext("predict");
-    return slot.wait();
+    auto served = serve(request);
+    if (!served)
+        return std::move(served.error()).withContext("predict");
+    return served;
 }
 
 Expected<void>
@@ -334,38 +285,9 @@ PredictionService::train(const LoadInfo &info, std::uint64_t actual_addr,
     request.info = info;
     request.actualAddr = actual_addr;
     request.pred = pred;
-    request.trace = obs::currentTraceContext();
-    request.enqueueNs = obs::stageNowNs();
-    if (auto submitted = submit(std::move(request), shardOf(info.pc));
-        !submitted)
-        return std::move(submitted.error()).withContext("train");
+    if (auto served = serve(request); !served)
+        return std::move(served.error()).withContext("train");
     return ok();
-}
-
-void
-PredictionService::drainShard(Shard &shard)
-{
-    std::vector<Request> batch;
-    batch.reserve(config_.maxBatch);
-    while (shard.queue.popBatch(batch, config_.maxBatch,
-                                /*wait=*/false) != 0) {
-        processBatch(shard, batch);
-        batch.clear();
-    }
-}
-
-void
-PredictionService::workerLoop(Shard &shard)
-{
-    std::vector<Request> batch;
-    batch.reserve(config_.maxBatch);
-    // popBatch returns 0 only once the queue is closed *and* drained,
-    // so a stopping service finishes every accepted request.
-    while (shard.queue.popBatch(batch, config_.maxBatch,
-                                /*wait=*/true) != 0) {
-        processBatch(shard, batch);
-        batch.clear();
-    }
 }
 
 void
@@ -380,24 +302,18 @@ PredictionService::journalRequest(Shard &shard, const Request &request)
         shard.journalOverflowed = true;
         return;
     }
-    Request copy = request;
-    copy.slot = nullptr; // rendezvous is stack-bound to the original
-    shard.journal.push_back(std::move(copy));
+    shard.journal.push_back(request);
 }
 
-void
-PredictionService::processBatch(Shard &shard,
-                                std::vector<Request> &batch)
+Prediction
+PredictionService::runBatch(Shard &shard, const Request &request,
+                            std::uint64_t entered_ns)
 {
     // Registry references resolved once; recording afterwards is a
     // branch plus a relaxed add (see obs/metrics.hh cost model).
     static obs::Counter &predicts = obs::counter("serve.predicts");
     static obs::Counter &trains = obs::counter("serve.trains");
     static obs::Counter &batches = obs::counter("serve.batches");
-    static obs::Histogram &batchSize =
-        obs::histogram("serve.batch_size");
-    static obs::Histogram &queueDepth =
-        obs::histogram("serve.queue_depth");
     static obs::Histogram &queueWaitNs =
         obs::histogram("serve.stage.queue_wait_ns");
     static obs::Histogram &computeNs =
@@ -405,54 +321,33 @@ PredictionService::processBatch(Shard &shard,
     static obs::Histogram &auditNs =
         obs::histogram("serve.stage.audit_ns");
 
-    obs::Span span("serve.batch", "serve");
-    std::uint64_t batch_predicts = 0;
-    std::uint64_t batch_trains = 0;
+    // A sampled caller gets a span nesting under its own (and, when
+    // the context rode in on a v3 frame, under the remote sender's).
+    std::optional<obs::Span> span;
+    if (obs::traceEventsEnabled()) {
+        const obs::TraceContext ctx = obs::currentTraceContext();
+        if (ctx.valid() && ctx.sampled)
+            span.emplace(request.isTrain ? "serve.train" : "serve.predict",
+                         "serve");
+    }
 
-    // Predictions computed under the lock, delivered after it: the
-    // rendezvous wakeups need not hold up the shard.
-    std::vector<std::pair<ResponseSlot *, Prediction>> responses;
-    responses.reserve(batch.size());
+    Prediction pred; // unspeculated unless the predictor answers
+    bool applied = false;
     {
         std::lock_guard<std::mutex> lock(shard.mutex);
+        const std::uint64_t startedNs = obs::stageNowNs();
+        queueWaitNs.record(startedNs - entered_ns);
         try {
             if (shard.killNextBatch.exchange(false))
-                throw std::runtime_error("injected worker fault");
-            for (Request &request : batch) {
-                const std::uint64_t startedNs = obs::stageNowNs();
-                if (request.enqueueNs != 0 &&
-                    startedNs >= request.enqueueNs)
-                    queueWaitNs.record(startedNs - request.enqueueNs);
-                // Re-enter the submitter's trace context for the
-                // duration of this request: the worker-side span
-                // nests under the caller's span even across the
-                // queue (and across the wire, when the context rode
-                // in on a v3 frame).
-                std::optional<obs::TraceScope> traceScope;
-                std::optional<obs::Span> requestSpan;
-                if (request.trace.valid()) {
-                    traceScope.emplace(request.trace);
-                    if (request.trace.sampled &&
-                        obs::traceEventsEnabled())
-                        requestSpan.emplace(request.isTrain
-                                                ? "serve.train"
-                                                : "serve.predict",
-                                            "serve");
-                }
-                if (shard.quarantined.load(std::memory_order_acquire)) {
-                    // Quarantine drain: never touch the (suspect)
-                    // predictor. Predicts answer unspeculated; trains
-                    // are journaled so the post-restore replay still
-                    // applies them.
-                    if (request.isTrain) {
-                        journalRequest(shard, request);
-                    } else {
-                        responses.emplace_back(request.slot,
-                                               Prediction{});
-                        request.slot = nullptr;
-                    }
-                    continue;
-                }
+                throw std::runtime_error("injected batch fault");
+            if (shard.quarantined.load(std::memory_order_acquire)) {
+                // Quarantined after admission: never touch the
+                // (suspect) predictor. The predict answers
+                // unspeculated; a train is journaled so the
+                // post-restore replay still applies it.
+                if (request.isTrain)
+                    journalRequest(shard, request);
+            } else {
                 journalRequest(shard, request);
                 if (request.isTrain) {
                     shard.predictor->update(request.info,
@@ -461,15 +356,11 @@ PredictionService::processBatch(Shard &shard,
                     tallyPrediction(shard.stats, request.pred,
                                     request.actualAddr);
                     ++shard.trains;
-                    ++batch_trains;
                 } else {
-                    responses.emplace_back(
-                        request.slot,
-                        shard.predictor->predict(request.info));
-                    request.slot = nullptr;
+                    pred = shard.predictor->predict(request.info);
                     ++shard.predicts;
-                    ++batch_predicts;
                 }
+                applied = true;
                 computeNs.record(obs::stageNowNs() - startedNs);
             }
             ++shard.batches;
@@ -487,14 +378,15 @@ PredictionService::processBatch(Shard &shard,
                 }
             }
         } catch (const std::exception &e) {
-            // A throwing batch may have half-applied a request; treat
-            // the shard as corrupt and quarantine it so the supervisor
-            // restores from the last good snapshot.
+            // A throwing batch may have half-applied its request;
+            // treat the shard as corrupt and quarantine it so the
+            // supervisor restores from the last good snapshot. A
+            // predict the throw cut short answers unspeculated.
             if (!shard.workerFailed) {
                 shard.workerFailed = true;
                 shard.workerError =
                     makeError(ErrorCode::CorruptedState, e.what())
-                        .withContext("shard worker batch");
+                        .withContext("shard batch");
             }
             if (!shard.quarantined.exchange(true,
                                             std::memory_order_acq_rel))
@@ -504,27 +396,10 @@ PredictionService::processBatch(Shard &shard,
             failures.add();
         }
     }
-    predicts.add(batch_predicts);
-    trains.add(batch_trains);
+    if (applied)
+        (request.isTrain ? trains : predicts).add();
     batches.add();
-    batchSize.record(batch.size());
-    queueDepth.record(shard.queue.depth());
-    for (auto &[slot, pred] : responses)
-        slot->complete(pred);
-    // Requests the throwing batch never reached: complete their
-    // rendezvous unspeculated so no client hangs on a failed shard.
-    for (Request &request : batch) {
-        if (!request.isTrain && request.slot != nullptr) {
-            request.slot->complete(Prediction{});
-            request.slot = nullptr;
-        }
-    }
-}
-
-std::size_t
-PredictionService::queueDepth(unsigned shard_index) const
-{
-    return shards_[shard_index]->queue.depth();
+    return pred;
 }
 
 std::size_t
@@ -532,7 +407,7 @@ PredictionService::totalQueueDepth() const
 {
     std::size_t depth = 0;
     for (const auto &shard : shards_)
-        depth += shard->queue.depth();
+        depth += shard->inFlight.load(std::memory_order_relaxed);
     return depth;
 }
 
@@ -578,8 +453,10 @@ PredictionService::snapshot() const
             shard->unavailable.load(std::memory_order_relaxed);
         snap.rejected =
             shard->rejected.load(std::memory_order_relaxed);
-        snap.queueDepth = shard->queue.depth();
-        snap.maxQueueDepth = shard->queue.maxDepth();
+        snap.queueDepth =
+            shard->inFlight.load(std::memory_order_relaxed);
+        snap.maxQueueDepth =
+            shard->maxInFlight.load(std::memory_order_relaxed);
         out.push_back(std::move(snap));
     }
     return out;

@@ -1,6 +1,6 @@
 /**
  * @file
- * Sharded, batched load-address prediction service. Turns the inline
+ * Sharded load-address prediction service. Turns the inline
  * predictors (core/) into a concurrently queryable component: a
  * PredictionService owns N predictor shards — each a full
  * CAP/stride/hybrid instance behind its own mutex — and routes every
@@ -8,28 +8,33 @@
  * per-static-load state (LB entry, stride state, LT links reached
  * from it) of one static load never crosses shards.
  *
- * Requests enter through per-client ClientSessions and queue into a
- * bounded per-shard MPSC mailbox (serve/queue.hh). Backpressure is a
- * first-class outcome: under OverloadPolicy::Block producers wait for
- * queue space; under OverloadPolicy::Reject a full shard fails the
- * request with a structured ErrorCode::Overloaded. Each shard's
- * worker drains its queue in batches of up to maxBatch requests,
- * paying the mutex/notify cost once per batch instead of once per
- * request, and runs the structural invariant auditor (core/audit.hh)
- * over the shard's predictor after every auditEveryBatches-th batch.
+ * Requests run on the caller's thread: predict() and train() take the
+ * shard mutex, run the predictor, and return the result directly, so
+ * the mutex is the only place a request waits. Each locked section is
+ * one "batch" of one request, and the structural invariant auditor
+ * (core/audit.hh) runs over the shard's predictor after every
+ * auditEveryBatches-th one.
  *
- * Deterministic mode (ServiceConfig::deterministic) runs without
- * worker threads: the submitting thread itself drains the shard
- * inline through the very same batch path. With one client this makes
- * the service a pure function of the request sequence, which is what
- * the cross-check (serve/crosscheck.hh) exploits to prove the service
- * layer does not change prediction semantics: its aggregate
- * PredictionStats must equal a plain PredictorSim run bit for bit.
+ * Backpressure is a per-shard in-flight gauge: the number of callers
+ * inside or waiting for the shard. Under OverloadPolicy::Reject a
+ * caller that would take the gauge past queueCapacity fails with a
+ * structured ErrorCode::Overloaded; under OverloadPolicy::Block it
+ * waits for the mutex and is never refused. stop() refuses new
+ * requests with ErrorCode::Shutdown and returns once every admitted
+ * one has finished.
+ *
+ * With one client the service is a pure function of the request
+ * sequence, which is what the cross-check (serve/crosscheck.hh)
+ * exploits to prove the service layer does not change prediction
+ * semantics: its aggregate PredictionStats must equal a plain
+ * PredictorSim run bit for bit.
  */
 
 #ifndef CLAP_SERVE_SERVICE_HH
 #define CLAP_SERVE_SERVICE_HH
 
+#include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -51,10 +56,10 @@ namespace clap
 using PredictorFactory =
     std::function<std::unique_ptr<AddressPredictor>()>;
 
-/** What a full shard queue does to the submitting client. */
+/** What a shard at its in-flight bound does to a new caller. */
 enum class OverloadPolicy : std::uint8_t
 {
-    Block,  ///< producer waits for queue space
+    Block,  ///< caller waits for the shard; never refused
     Reject, ///< request fails with ErrorCode::Overloaded
 };
 
@@ -65,25 +70,21 @@ struct ServiceConfig
     /// select one with a mask.
     unsigned shards = 4;
 
-    /// Per-shard request queue capacity (backpressure bound).
+    /// Per-shard in-flight bound: the callers one shard admits at once,
+    /// counting the one holding its mutex. OverloadPolicy::Reject
+    /// refuses the next caller; the network gateway's admission
+    /// control reads the gauge against this bound under both policies.
     std::size_t queueCapacity = 1024;
-
-    /// Requests a shard worker drains per queue round-trip.
-    std::size_t maxBatch = 64;
 
     OverloadPolicy overload = OverloadPolicy::Block;
 
-    /// No worker threads: the submitting thread drains the target
-    /// shard inline after every request. Single-client only; exists
-    /// for the semantics cross-check and for debugging.
-    bool deterministic = false;
-
     /// Run the structural auditor on a shard's predictor after every
-    /// N-th processed batch (0 disables). Audit failures are recorded
-    /// per shard and surfaced via PredictionService::health(). The
-    /// audit is incremental (core/audit.hh): it checks only the table
-    /// sets written since the last passing audit, so its cost tracks
-    /// the batch's own writes and auditing every batch is cheap.
+    /// N-th batch, i.e. locked section of one request (0 disables).
+    /// Audit failures are recorded per shard and surfaced via
+    /// PredictionService::health(). The audit is incremental
+    /// (core/audit.hh): it checks only the table sets written since
+    /// the last passing audit, so its cost tracks the batch's own
+    /// writes and auditing every batch is cheap.
     /// Each audit's duration is recorded as serve.stage.audit_ns.
     unsigned auditEveryBatches = 1;
 
@@ -109,13 +110,6 @@ struct ServiceConfig
             return detail::configError(
                 "ServiceConfig", "queueCapacity must be >= 1");
         }
-        if (maxBatch == 0 || maxBatch > queueCapacity) {
-            return detail::configError(
-                "ServiceConfig",
-                "maxBatch must be within 1..queueCapacity (maxBatch=" +
-                    std::to_string(maxBatch) + ", queueCapacity=" +
-                    std::to_string(queueCapacity) + ")");
-        }
         return ok();
     }
 };
@@ -138,11 +132,11 @@ struct ShardSnapshot
     PredictionStats stats;        ///< tallied at train resolution
     std::uint64_t predicts = 0;   ///< predict requests processed
     std::uint64_t trains = 0;     ///< train requests processed
-    std::uint64_t batches = 0;    ///< queue drain rounds
+    std::uint64_t batches = 0;    ///< locked sections run
     std::uint64_t audits = 0;     ///< auditor runs
     std::uint64_t rejected = 0;   ///< requests refused as Overloaded
-    std::size_t queueDepth = 0;   ///< current mailbox depth
-    std::size_t maxQueueDepth = 0;///< mailbox high-water mark
+    std::size_t queueDepth = 0;   ///< callers in or waiting for the shard
+    std::size_t maxQueueDepth = 0;///< high-water mark of queueDepth
     bool auditFailed = false;
     Error auditError;             ///< valid when auditFailed
 
@@ -155,7 +149,7 @@ struct ShardSnapshot
     std::uint64_t quarantines = 0;///< quarantine episodes entered
     std::size_t journalDepth = 0; ///< requests journaled since capture
     bool journalOverflowed = false;
-    bool workerFailed = false;    ///< worker batch threw / injected kill
+    bool workerFailed = false;    ///< a batch threw / injected kill
     Error workerError;            ///< valid when workerFailed
     /// @}
 
@@ -172,9 +166,8 @@ class PredictionService
   public:
     /**
      * Build a service of config.shards predictors (one factory call
-     * per shard) and start the shard workers (none in deterministic
-     * mode). Throws std::invalid_argument on an invalid config, like
-     * the predictor constructors (core/config.hh validated()).
+     * per shard). Throws std::invalid_argument on an invalid config,
+     * like the predictor constructors (core/config.hh validated()).
      */
     PredictionService(const ServiceConfig &config,
                       PredictorFactory factory);
@@ -195,28 +188,26 @@ class PredictionService
     ClientSession connect();
 
     /**
-     * Form a prediction for @p info, synchronously: enqueue on the
-     * PC's shard and wait for the shard worker's response. Fails with
-     * Overloaded (Reject policy, full queue) or Shutdown (service
-     * stopped — including producers that were blocked in push() when
-     * stop() closed the queue).
+     * Form a prediction for @p info on the calling thread, under the
+     * PC's shard lock. Fails with ShardUnavailable (shard
+     * quarantined), Shutdown (service stopped) or Overloaded (Reject
+     * policy, shard at its in-flight bound).
      */
     Expected<Prediction> predict(const LoadInfo &info);
 
     /**
-     * Resolve a prior prediction with the load's actual address.
-     * Fire-and-forget: returns once the request is queued (the shard
-     * applies it in FIFO order, hence before any later predict of the
-     * same PC from this client). Same failure modes as predict().
+     * Resolve a prior prediction with the load's actual address, on
+     * the calling thread: the update has been applied when this
+     * returns. Same failure modes as predict().
      */
     Expected<void> train(const LoadInfo &info,
                          std::uint64_t actual_addr,
                          const Prediction &pred);
 
     /**
-     * Stop accepting requests, drain every shard queue, and join the
-     * workers. Idempotent; also run by the destructor. Outstanding
-     * requests are processed, not dropped, so no client hangs.
+     * Refuse new requests with Shutdown, then return once every
+     * admitted request (running or waiting for its shard) has
+     * finished. Idempotent; also run by the destructor.
      */
     void stop();
 
@@ -225,18 +216,14 @@ class PredictionService
     /** Sum of the per-shard statistics (train-resolved tallies). */
     PredictionStats aggregateStats() const;
 
-    /** Current depth of one shard's mailbox (admission control). */
-    std::size_t queueDepth(unsigned shard_index) const;
-
     /**
-     * Sum of all shard mailbox depths — the load signal the network
-     * gateway's admission control maps to Accept/Shed/Reject. Cheap
-     * (one mutex-guarded size read per shard, no predictor locks), so
-     * it can run per-request.
+     * Sum of the shards' in-flight gauges — the load signal the
+     * network gateway's admission control maps to Accept/Shed/Reject.
+     * One relaxed atomic read per shard, so it can run per-request.
      */
     std::size_t totalQueueDepth() const;
 
-    /** Sum of per-shard queue capacities (admission denominator). */
+    /** Sum of per-shard in-flight bounds (admission denominator). */
     std::size_t
     totalQueueCapacity() const
     {
@@ -272,7 +259,7 @@ class PredictionService
      * (provided the journal never overflowed). The journal is kept,
      * not cleared: its epoch stays the capture the bytes came from,
      * so restoring the same bytes again later remains exact. Clears
-     * the shard's audit/worker failure flags on success; does NOT
+     * the shard's audit/batch failure flags on success; does NOT
      * lift quarantine — rejoinShard() does. With @p salvage, intact
      * sections of a damaged snapshot restore and the rest cold-start.
      */
@@ -283,8 +270,9 @@ class PredictionService
     /**
      * Quarantine shard @p shard_index: new requests fail with a
      * structured ShardUnavailable error (other shards keep serving);
-     * already-queued predicts complete unspeculated and queued trains
-     * are journaled for post-restore replay instead of being applied.
+     * already-admitted predicts complete unspeculated and admitted
+     * trains are journaled for post-restore replay instead of being
+     * applied.
      */
     void quarantineShard(unsigned shard_index);
 
@@ -295,11 +283,11 @@ class PredictionService
 
     /**
      * Record a failure detected outside the per-batch audit (injected
-     * fault, dead worker) and quarantine the shard.
+     * fault) and quarantine the shard.
      */
     void failShard(unsigned shard_index, Error error);
 
-    /** First recorded audit/worker failure of one shard. */
+    /** First recorded audit/batch failure of one shard. */
     Expected<void> shardHealth(unsigned shard_index) const;
 
     /**
@@ -319,9 +307,11 @@ class PredictionService
         const std::function<void(AddressPredictor &)> &fn);
 
     /**
-     * Chaos hook: the next batch the shard processes throws from
-     * inside the worker, exercising the worker-failure detection and
-     * recovery path. Requests in that batch complete unspeculated.
+     * Chaos hook: the next batch the shard runs throws from inside
+     * its locked section, exercising the failure detection and
+     * recovery path. A predict in that batch completes unspeculated;
+     * a train in it is not applied but still returns success, as a
+     * train the shard accepted and then lost would.
      */
     void injectWorkerFault(unsigned shard_index);
 
@@ -333,17 +323,19 @@ class PredictionService
     struct Shard;
     struct Request;
 
-    Expected<void> submit(Request request, unsigned shard_index);
-    void drainShard(Shard &shard);
-    void processBatch(Shard &shard, std::vector<Request> &batch);
-    void workerLoop(Shard &shard);
+    Expected<Prediction> serve(const Request &request);
+    Expected<void> admit(Shard &shard, unsigned shard_index);
+    void leave(Shard &shard);
+    Prediction runBatch(Shard &shard, const Request &request,
+                        std::uint64_t entered_ns);
     void journalRequest(Shard &shard, const Request &request);
 
     ServiceConfig config_;
     PredictorFactory factory_; ///< kept for resetShard()
     std::vector<std::unique_ptr<Shard>> shards_;
-    bool stopped_ = false;
-    mutable std::mutex stopMutex_;
+    std::atomic<bool> stopped_{false};
+    std::mutex stopMutex_;             ///< guards the drained_ wait
+    std::condition_variable drained_;  ///< a shard's gauge hit zero
 };
 
 /**

@@ -76,7 +76,6 @@ struct TestGateway
     {
         ServiceConfig config;
         config.shards = shards;
-        config.deterministic = true;
         return config;
     }
 
@@ -506,7 +505,7 @@ TEST(NetClientRetry, TrainIsNeverRetriedAfterTransportLoss)
 // --- Admission control --------------------------------------------
 
 /// Predictor stub whose predict() blocks until released (same idiom
-/// as test_serve.cc): wedges a shard worker so queue depth builds.
+/// as test_serve.cc): wedges a shard so its in-flight gauge builds.
 class BlockingPredictor : public AddressPredictor
 {
   public:
@@ -558,7 +557,6 @@ TEST(NetAdmission, ShedFailsPredictsButStillTrains)
     ServiceConfig service_config;
     service_config.shards = 1;
     service_config.queueCapacity = 8;
-    service_config.maxBatch = 1;
     service_config.overload = OverloadPolicy::Reject;
     service_config.auditEveryBatches = 0;
     PredictionService service(
@@ -590,15 +588,16 @@ TEST(NetAdmission, ShedFailsPredictsButStillTrains)
     const std::string endpoint = udsEndpoint("admission");
     ServerConfig server_config;
     server_config.endpoint = endpoint;
-    // Queue capacity is 8: shed once 3 requests wait, reject at 6.
+    // In-flight bound is 8: shed once 3 callers are in the shard (the
+    // wedged one included), reject at 6.
     server_config.shedFraction = 0.374;
     server_config.rejectFraction = 0.75;
     NetServer server(service, nullptr, server_config);
     ASSERT_TRUE(server.start());
     EXPECT_EQ(server.admissionDecision(), Admission::Accept);
 
-    // Wedge the only worker through the wire, then stack three more
-    // predicts behind it so the queue depth crosses the shed line.
+    // Wedge the only shard through the wire, then stack two more
+    // predicts behind it so the in-flight gauge reaches the shed line.
     auto asyncPredict = [&endpoint]() {
         ClientConfig config;
         config.endpoint = endpoint;
@@ -611,7 +610,7 @@ TEST(NetAdmission, ShedFailsPredictsButStillTrains)
     std::vector<std::thread> waiters;
     waiters.emplace_back(asyncPredict);
     blocking->awaitEntered();
-    for (int i = 0; i < 3; ++i)
+    for (int i = 0; i < 2; ++i)
         waiters.emplace_back(asyncPredict);
 
     const auto until = std::chrono::steady_clock::now() +
@@ -624,6 +623,7 @@ TEST(NetAdmission, ShedFailsPredictsButStillTrains)
     // A shed gateway fails predicts with a retryable Overloaded...
     ClientConfig probe_config;
     probe_config.endpoint = endpoint;
+    probe_config.requestDeadlineMs = 20000;
     probe_config.maxAttempts = 1;
     NetClient probe(probe_config);
     auto shed = probe.predict(probe.makeInfo(0x2000, 0));
@@ -632,12 +632,25 @@ TEST(NetAdmission, ShedFailsPredictsButStillTrains)
     EXPECT_TRUE(isRetryable(shed.error().code()));
     EXPECT_EQ(probe.counters().errorReplies, 1u);
 
-    // ...but still applies trains: dropping one silently would fork
-    // this replica's predictor state away from its peers'.
-    Prediction dummy;
-    EXPECT_TRUE(probe.train(probe.makeInfo(0x2000, 0), 0x3000, dummy));
+    // ...but still admits trains: dropping one silently would fork
+    // this replica's predictor state away from its peers'. The train
+    // runs on the caller's thread, so it waits behind the wedged
+    // shard; the gauge shows it admitted.
+    Expected<void> trained = ok();
+    std::thread trainer([&probe, &trained] {
+        Prediction dummy;
+        trained = probe.train(probe.makeInfo(0x2000, 0), 0x3000, dummy);
+    });
+    const auto admittedBy = std::chrono::steady_clock::now() +
+                            std::chrono::seconds(10);
+    while (service.totalQueueDepth() != 4 &&
+           std::chrono::steady_clock::now() < admittedBy)
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    EXPECT_EQ(service.totalQueueDepth(), 4u);
 
     blocking->release();
+    trainer.join();
+    EXPECT_TRUE(trained) << trained.error().str();
     for (auto &waiter : waiters)
         waiter.join();
     EXPECT_GE(server.counters().admitShed, 1u);
@@ -888,7 +901,19 @@ TEST(NetStage, StageDecompositionConservesExactly)
     ClientConfig config;
     config.endpoint = endpoint;
     NetClient client(config);
-    ASSERT_TRUE(client.ping()); // connect + handshake before the reset
+    // Connect and handshake before the reset. The server records the
+    // ping's stages after flushing its reply, so wait for that record
+    // to land: a late one would count against the reset histograms.
+    const std::uint64_t before =
+        obs::histogram("net.stage.total_ns").snapshot().count;
+    ASSERT_TRUE(client.ping());
+    for (int spin = 0; spin < 2000; ++spin) {
+        if (obs::histogram("net.stage.total_ns").snapshot().count > before)
+            break;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_GT(obs::histogram("net.stage.total_ns").snapshot().count,
+              before);
 
     obs::resetMetricsForTest();
     constexpr std::uint64_t kRequests = 32;

@@ -289,7 +289,6 @@ struct InProcReplica
     {
         ServiceConfig config;
         config.shards = 2;
-        config.deterministic = true;
         config.overload = OverloadPolicy::Block;
         return config;
     }

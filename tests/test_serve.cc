@@ -16,7 +16,6 @@
 #include "core/hybrid_predictor.hh"
 #include "core/stride_predictor.hh"
 #include "serve/crosscheck.hh"
-#include "serve/queue.hh"
 #include "serve/service.hh"
 #include "sim/predictor_sim.hh"
 #include "workloads/composer.hh"
@@ -67,14 +66,8 @@ TEST(ServiceConfig, RejectsBadQueueGeometry)
     config.queueCapacity = 0;
     EXPECT_FALSE(config.validate());
 
-    config = ServiceConfig{};
-    config.maxBatch = 0;
-    EXPECT_FALSE(config.validate());
-
-    config = ServiceConfig{};
-    config.queueCapacity = 8;
-    config.maxBatch = 9;
-    EXPECT_FALSE(config.validate());
+    config.queueCapacity = 1;
+    EXPECT_TRUE(config.validate());
 }
 
 TEST(ServiceConfig, ConstructorThrowsOnInvalidConfig)
@@ -115,67 +108,7 @@ TEST(ShardRouting, SingleShardAlwaysZero)
         EXPECT_EQ(shardOfPc(pc * 0x9e3779b9ull, 1), 0u);
 }
 
-// --- Bounded queue -------------------------------------------------
-
-TEST(BoundedQueue, NonBlockingPushReportsFull)
-{
-    BoundedQueue<int> queue(2);
-    EXPECT_EQ(queue.push(1, false), QueuePush::Ok);
-    EXPECT_EQ(queue.push(2, false), QueuePush::Ok);
-    EXPECT_EQ(queue.push(3, false), QueuePush::Full);
-    EXPECT_EQ(queue.depth(), 2u);
-    EXPECT_EQ(queue.maxDepth(), 2u);
-}
-
-TEST(BoundedQueue, PopBatchRespectsMaxAndOrder)
-{
-    BoundedQueue<int> queue(8);
-    for (int i = 0; i < 5; ++i)
-        EXPECT_EQ(queue.push(i, false), QueuePush::Ok);
-    std::vector<int> out;
-    EXPECT_EQ(queue.popBatch(out, 3, false), 3u);
-    EXPECT_EQ(out, (std::vector<int>{0, 1, 2}));
-    EXPECT_EQ(queue.popBatch(out, 8, false), 2u);
-    EXPECT_EQ(out, (std::vector<int>{0, 1, 2, 3, 4}));
-    EXPECT_EQ(queue.popBatch(out, 8, false), 0u);
-}
-
-TEST(BoundedQueue, CloseRejectsPushesButDrains)
-{
-    BoundedQueue<int> queue(4);
-    EXPECT_EQ(queue.push(7, false), QueuePush::Ok);
-    queue.close();
-    EXPECT_EQ(queue.push(8, false), QueuePush::Closed);
-    EXPECT_EQ(queue.push(8, true), QueuePush::Closed);
-    std::vector<int> out;
-    EXPECT_EQ(queue.popBatch(out, 4, true), 1u);
-    EXPECT_EQ(out.front(), 7);
-    // Closed and drained: a waiting pop returns 0 instead of hanging.
-    out.clear();
-    EXPECT_EQ(queue.popBatch(out, 4, true), 0u);
-}
-
-TEST(BoundedQueue, BlockingPushWaitsForSpace)
-{
-    BoundedQueue<int> queue(1);
-    EXPECT_EQ(queue.push(1, false), QueuePush::Ok);
-
-    std::atomic<bool> pushed{false};
-    std::thread producer([&] {
-        EXPECT_EQ(queue.push(2, true), QueuePush::Ok);
-        pushed.store(true);
-    });
-    // The producer must be blocked until the consumer makes space.
-    std::vector<int> out;
-    EXPECT_EQ(queue.popBatch(out, 1, true), 1u);
-    producer.join();
-    EXPECT_TRUE(pushed.load());
-    out.clear();
-    EXPECT_EQ(queue.popBatch(out, 1, true), 1u);
-    EXPECT_EQ(out.front(), 2);
-}
-
-// --- Deterministic mode & semantics cross-check --------------------
+// --- Single-client semantics cross-check ------------------------
 
 TEST(ServeCrosscheck, OneShardMatchesPredictorSimExactly)
 {
@@ -232,7 +165,6 @@ TEST(ServeDeterministic, StatsTalliedOnTrainOnly)
 {
     ServiceConfig config;
     config.shards = 1;
-    config.deterministic = true;
     PredictionService service(config, testHybridFactory());
     ClientSession session = service.connect();
 
@@ -247,7 +179,6 @@ TEST(ServeDeterministic, AuditRunsPerBatch)
 {
     ServiceConfig config;
     config.shards = 1;
-    config.deterministic = true;
     config.auditEveryBatches = 1;
     PredictionService service(config, testHybridFactory());
     ClientSession session = service.connect();
@@ -259,8 +190,8 @@ TEST(ServeDeterministic, AuditRunsPerBatch)
     }
     const auto snaps = service.snapshot();
     ASSERT_EQ(snaps.size(), 1u);
-    // Inline drains process one request per batch, and the auditor
-    // runs after every batch.
+    // Every request runs as its own batch, and the auditor runs after
+    // every batch.
     EXPECT_EQ(snaps[0].batches, 16u);
     EXPECT_EQ(snaps[0].audits, 16u);
     EXPECT_EQ(snaps[0].predicts, 8u);
@@ -276,7 +207,6 @@ TEST(ServeDeterministic, AuditFindsCorruptionNoLaterRequestTouches)
     // the full-sweep oracle's first error.
     ServiceConfig config;
     config.shards = 1;
-    config.deterministic = true;
     config.journalCapacity = 1024;
     PredictionService service(config, testHybridFactory());
     ClientSession session = service.connect();
@@ -355,7 +285,6 @@ TEST(ServeSession, HistoryTracksBranchesAndCalls)
 {
     ServiceConfig config;
     config.shards = 1;
-    config.deterministic = true;
     PredictionService service(config, testHybridFactory());
     ClientSession session = service.connect();
 
@@ -380,7 +309,6 @@ TEST(ServeThreaded, ConcurrentClientsAccountForEveryRequest)
     ServiceConfig config;
     config.shards = 4;
     config.queueCapacity = 256;
-    config.maxBatch = 32;
     PredictionService service(config, testHybridFactory());
 
     std::vector<Expected<ReplayResult>> results;
@@ -419,7 +347,7 @@ TEST(ServeThreaded, ConcurrentClientsAccountForEveryRequest)
         trains += snap.trains;
         batches += snap.batches;
         audits += snap.audits;
-        EXPECT_EQ(snap.queueDepth, 0u); // stop() drains
+        EXPECT_EQ(snap.queueDepth, 0u); // stop() waits for every request
         EXPECT_FALSE(snap.auditFailed);
     }
     EXPECT_EQ(predicts, submitted_loads);
@@ -449,7 +377,8 @@ TEST(ServeThreaded, RequestsAfterStopFailStructured)
 }
 
 /// Predictor stub whose predict() blocks until released: lets a test
-/// wedge a shard worker and fill the queue behind it.
+/// wedge a shard (its lock held inside the stub) and stack callers
+/// behind it.
 class BlockingPredictor : public AddressPredictor
 {
   public:
@@ -480,7 +409,7 @@ class BlockingPredictor : public AddressPredictor
         ready_.notify_all();
     }
 
-    /** Block until a worker is wedged inside predict(). */
+    /** Block until a caller is wedged inside predict(). */
     void
     awaitEntered()
     {
@@ -495,109 +424,104 @@ class BlockingPredictor : public AddressPredictor
     bool released_ = false;
 };
 
+/// The service owns its predictors; hand it forwarding shims so the
+/// test keeps a handle on @p blocking for release().
+PredictorFactory
+blockingFactory(std::shared_ptr<BlockingPredictor> blocking)
+{
+    return [blocking]() -> std::unique_ptr<AddressPredictor> {
+        struct Shim : AddressPredictor
+        {
+            explicit Shim(std::shared_ptr<BlockingPredictor> inner)
+                : inner(std::move(inner))
+            {
+            }
+            Prediction
+            predict(const LoadInfo &info) override
+            {
+                return inner->predict(info);
+            }
+            void
+            update(const LoadInfo &info, std::uint64_t addr,
+                   const Prediction &pred) override
+            {
+                inner->update(info, addr, pred);
+            }
+            std::string name() const override { return inner->name(); }
+            std::shared_ptr<BlockingPredictor> inner;
+        };
+        return std::make_unique<Shim>(blocking);
+    };
+}
+
+/** Poll @p condition for up to 10 s; true once it holds. */
+bool
+eventually(const std::function<bool()> &condition)
+{
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!condition()) {
+        if (std::chrono::steady_clock::now() >= until)
+            return false;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return true;
+}
+
 TEST(ServeThreaded, RejectPolicyReturnsOverloadedWhenQueueFull)
 {
     auto blocking = std::make_shared<BlockingPredictor>();
 
     ServiceConfig config;
     config.shards = 1;
-    config.queueCapacity = 2;
-    config.maxBatch = 1;
+    config.queueCapacity = 3;
     config.overload = OverloadPolicy::Reject;
     config.auditEveryBatches = 0;
-    PredictionService service(
-        config, [blocking]() -> std::unique_ptr<AddressPredictor> {
-            // The service owns its predictors; hand it a forwarding
-            // shim so the test keeps a handle for release().
-            struct Shim : AddressPredictor
-            {
-                explicit Shim(std::shared_ptr<BlockingPredictor> inner)
-                    : inner(std::move(inner))
-                {
-                }
-                Prediction
-                predict(const LoadInfo &info) override
-                {
-                    return inner->predict(info);
-                }
-                void
-                update(const LoadInfo &info, std::uint64_t addr,
-                       const Prediction &pred) override
-                {
-                    inner->update(info, addr, pred);
-                }
-                std::string name() const override { return inner->name(); }
-                std::shared_ptr<BlockingPredictor> inner;
-            };
-            return std::make_unique<Shim>(blocking);
-        });
+    PredictionService service(config, blockingFactory(blocking));
 
-    // Wedge the worker: it pops this predict and blocks inside the
-    // stub, leaving the queue empty.
-    std::thread wedged([&service] {
-        LoadInfo info;
-        info.pc = 0x1000;
-        EXPECT_TRUE(service.predict(info));
-    });
-    blocking->awaitEntered();
-
-    // Fill the (now idle) queue with fire-and-forget trains, then
-    // overflow it: the Reject policy must fail fast and structured.
     LoadInfo info;
     info.pc = 0x1000;
     Prediction dummy;
-    Expected<void> overflow = ok();
-    bool saw_overload = false;
-    for (int i = 0; i < 64 && !saw_overload; ++i) {
-        overflow = service.train(info, 0x2000, dummy);
-        if (!overflow) {
-            EXPECT_EQ(overflow.error().code(), ErrorCode::Overloaded);
-            saw_overload = true;
-        }
-    }
-    EXPECT_TRUE(saw_overload);
 
-    // snapshot() needs the shard mutex, which the wedged worker holds
-    // inside processBatch — release it before inspecting counters.
+    // Wedge the shard: this predict holds its lock inside the stub.
+    // Two trains then wait for the lock, filling the in-flight bound.
+    std::vector<std::thread> callers;
+    callers.emplace_back(
+        [&service, &info] { EXPECT_TRUE(service.predict(info)); });
+    blocking->awaitEntered();
+    for (int i = 0; i < 2; ++i) {
+        callers.emplace_back([&service, &info, &dummy] {
+            EXPECT_TRUE(service.train(info, 0x2000, dummy));
+        });
+    }
+    ASSERT_TRUE(eventually([&service] {
+        return service.totalQueueDepth() == 3;
+    }));
+
+    // At the bound, Reject fails fast and structured, and a refused
+    // caller leaves the gauge as it found it.
+    auto overflow = service.train(info, 0x2000, dummy);
+    ASSERT_FALSE(overflow);
+    EXPECT_EQ(overflow.error().code(), ErrorCode::Overloaded);
+    auto shed = service.predict(info);
+    ASSERT_FALSE(shed);
+    EXPECT_EQ(shed.error().code(), ErrorCode::Overloaded);
+    EXPECT_EQ(service.totalQueueDepth(), 3u);
+
+    // snapshot() needs the shard mutex, which the wedged predict
+    // holds — release it before inspecting counters.
     blocking->release();
-    wedged.join();
+    for (auto &caller : callers)
+        caller.join();
     service.stop();
 
     const auto snaps = service.snapshot();
     ASSERT_EQ(snaps.size(), 1u);
-    EXPECT_GE(snaps[0].rejected, 1u);
-}
-
-// --- close()/shutdown vs blocked producers ------------------------
-
-TEST(BoundedQueue, CloseWakesBlockedProducers)
-{
-    BoundedQueue<int> queue(1);
-    ASSERT_EQ(queue.push(0, false), QueuePush::Ok);
-
-    // Three producers block in push(block=true) on the full queue.
-    std::atomic<int> woken{0};
-    std::vector<std::thread> producers;
-    for (int i = 0; i < 3; ++i) {
-        producers.emplace_back([&queue, &woken, i] {
-            EXPECT_EQ(queue.push(i + 1, true), QueuePush::Closed);
-            woken.fetch_add(1);
-        });
-    }
-
-    // Give the producers a moment to reach the wait; close() must
-    // then wake every one of them with Closed — not leave them
-    // sleeping on a condition that will never signal again.
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    queue.close();
-    for (auto &producer : producers)
-        producer.join();
-    EXPECT_EQ(woken.load(), 3);
-
-    // The item enqueued before close still drains.
-    std::vector<int> out;
-    EXPECT_EQ(queue.popBatch(out, 4, false), 1u);
-    EXPECT_EQ(out.front(), 0);
+    EXPECT_EQ(snaps[0].rejected, 2u);
+    EXPECT_EQ(snaps[0].maxQueueDepth, 3u);
+    EXPECT_EQ(snaps[0].queueDepth, 0u);
+    EXPECT_EQ(snaps[0].predicts, 1u);
+    EXPECT_EQ(snaps[0].trains, 2u);
 }
 
 TEST(ServeThreaded, StopWakesProducersBlockedInPush)
@@ -607,81 +531,53 @@ TEST(ServeThreaded, StopWakesProducersBlockedInPush)
     ServiceConfig config;
     config.shards = 1;
     config.queueCapacity = 2;
-    config.maxBatch = 1;
     config.overload = OverloadPolicy::Block;
     config.auditEveryBatches = 0;
-    PredictionService service(
-        config, [blocking]() -> std::unique_ptr<AddressPredictor> {
-            struct Shim : AddressPredictor
-            {
-                explicit Shim(std::shared_ptr<BlockingPredictor> inner)
-                    : inner(std::move(inner))
-                {
-                }
-                Prediction
-                predict(const LoadInfo &info) override
-                {
-                    return inner->predict(info);
-                }
-                void
-                update(const LoadInfo &info, std::uint64_t addr,
-                       const Prediction &pred) override
-                {
-                    inner->update(info, addr, pred);
-                }
-                std::string name() const override { return inner->name(); }
-                std::shared_ptr<BlockingPredictor> inner;
-            };
-            return std::make_unique<Shim>(blocking);
-        });
-
-    // Wedge the worker inside the stub's predict(), then fill the
-    // idle queue to capacity with fire-and-forget trains.
-    std::thread wedged([&service] {
-        LoadInfo info;
-        info.pc = 0x1000;
-        EXPECT_TRUE(service.predict(info));
-    });
-    blocking->awaitEntered();
+    PredictionService service(config, blockingFactory(blocking));
 
     LoadInfo info;
     info.pc = 0x1000;
     Prediction dummy;
-    EXPECT_TRUE(service.train(info, 0x2000, dummy));
-    EXPECT_TRUE(service.train(info, 0x2000, dummy));
 
-    // These producers block inside push(block=true): the queue is
-    // full and the only worker is wedged, so nothing can drain it.
-    std::vector<std::thread> producers;
+    // Wedge the shard, then stack three trains behind it: Block never
+    // refuses, so the gauge passes the bound of 2.
+    std::vector<std::thread> callers;
+    callers.emplace_back(
+        [&service, &info] { EXPECT_TRUE(service.predict(info)); });
+    blocking->awaitEntered();
     std::vector<Expected<void>> results(3, ok());
-    for (int i = 0; i < 3; ++i) {
-        producers.emplace_back([&service, &results, i] {
-            LoadInfo blocked_info;
-            blocked_info.pc = 0x1000;
-            Prediction blocked_dummy;
-            results[static_cast<std::size_t>(i)] =
-                service.train(blocked_info, 0x2000, blocked_dummy);
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        callers.emplace_back([&service, &info, &dummy, &results, i] {
+            results[i] = service.train(info, 0x2000, dummy);
         });
     }
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    ASSERT_TRUE(eventually([&service] {
+        return service.totalQueueDepth() == 4;
+    }));
 
-    // stop() closes the queues first and only then joins the workers,
-    // so the blocked producers must wake with a structured Shutdown
-    // error *before* the wedged worker is released — a hang here is
-    // exactly the close()/shutdown race this test pins down.
+    // stop() refuses new requests at once, even with the shard
+    // wedged, and waits for the four it admitted.
     std::thread stopper([&service] { service.stop(); });
-    for (auto &producer : producers)
-        producer.join();
-    for (const auto &result : results) {
-        ASSERT_FALSE(result);
-        EXPECT_EQ(result.error().code(), ErrorCode::Shutdown);
-    }
+    ASSERT_TRUE(eventually([&service] { return service.stopped(); }));
+    auto refused = service.predict(info);
+    ASSERT_FALSE(refused);
+    EXPECT_EQ(refused.error().code(), ErrorCode::Shutdown);
+    auto refusedTrain = service.train(info, 0x2000, dummy);
+    ASSERT_FALSE(refusedTrain);
+    EXPECT_EQ(refusedTrain.error().code(), ErrorCode::Shutdown);
+    EXPECT_EQ(service.totalQueueDepth(), 4u);
 
-    // Release the worker so stop() can drain and join.
+    // Released, every admitted request finishes and stop() returns.
     blocking->release();
     stopper.join();
-    wedged.join();
-    EXPECT_TRUE(service.stopped());
+    for (auto &caller : callers)
+        caller.join();
+    for (const auto &result : results)
+        EXPECT_TRUE(result) << result.error().str();
+    EXPECT_EQ(service.totalQueueDepth(), 0u);
+    const auto snaps = service.snapshot();
+    EXPECT_EQ(snaps[0].predicts, 1u);
+    EXPECT_EQ(snaps[0].trains, 3u);
 }
 
 } // namespace
