@@ -51,18 +51,6 @@ results()
 }
 
 void
-BM_AblationPf(benchmark::State &state)
-{
-    for (auto _ : state)
-        benchmark::DoNotOptimize(&results());
-    state.counters["pf_on_rate"] =
-        results().with.back().stats.predictionRate();
-    state.counters["pf_off_rate"] =
-        results().without.back().stats.predictionRate();
-}
-BENCHMARK(BM_AblationPf)->Iterations(1)->Unit(benchmark::kMillisecond);
-
-void
 printResults()
 {
     const auto &r = results();

@@ -369,22 +369,6 @@ results()
 }
 
 void
-BM_Chaos(benchmark::State &state)
-{
-    for (auto _ : state)
-        benchmark::DoNotOptimize(&results());
-    std::uint64_t cycles = 0;
-    std::uint64_t recoveries = 0;
-    for (const ChaosCell &cell : results()) {
-        cycles += cell.cycles;
-        recoveries += cell.sup.recoveries;
-    }
-    state.counters["cycles"] = static_cast<double>(cycles);
-    state.counters["recoveries"] = static_cast<double>(recoveries);
-}
-BENCHMARK(BM_Chaos)->Iterations(1)->Unit(benchmark::kMillisecond);
-
-void
 printResults()
 {
     Table table;
@@ -429,8 +413,8 @@ printResults()
                 "not equality\n");
 }
 
-/** Strip the bench_chaos-specific flags (google-benchmark rejects
- *  flags it does not know). */
+/** Strip the bench_chaos-specific flags before benchMain, which
+ *  rejects any flag it does not know. */
 void
 parseChaosFlags(int &argc, char **argv)
 {

@@ -54,21 +54,6 @@ results()
 }
 
 void
-BM_ControlBased(benchmark::State &state)
-{
-    for (auto _ : state)
-        benchmark::DoNotOptimize(&results());
-    state.counters["gshare_correct"] =
-        results().gshare.back().stats.correctOfAllLoads();
-    state.counters["path_correct"] =
-        results().path.back().stats.correctOfAllLoads();
-    state.counters["cap_correct"] =
-        results().cap.back().stats.correctOfAllLoads();
-}
-BENCHMARK(BM_ControlBased)->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
-void
 printResults()
 {
     const auto &r = results();

@@ -147,20 +147,6 @@ results()
 }
 
 void
-BM_FaultResilience(benchmark::State &state)
-{
-    for (auto _ : state)
-        benchmark::DoNotOptimize(&results());
-    const SweepPoint &worst = results().back();
-    state.counters["naive_mispred_10k"] =
-        worst.naive.mispredictionRate();
-    state.counters["enhanced_mispred_10k"] =
-        worst.enhanced.mispredictionRate();
-}
-BENCHMARK(BM_FaultResilience)->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
-void
 printResults()
 {
     Table table;

@@ -42,18 +42,6 @@ results()
 }
 
 void
-BM_Fig05_Predictors(benchmark::State &state)
-{
-    for (auto _ : state)
-        benchmark::DoNotOptimize(&results());
-    const auto &avg_hybrid = results().hybrid.back().stats;
-    state.counters["hybrid_pred_rate"] = avg_hybrid.predictionRate();
-    state.counters["hybrid_accuracy"] = avg_hybrid.accuracy();
-}
-BENCHMARK(BM_Fig05_Predictors)->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
-void
 printFig5()
 {
     const auto &r = results();

@@ -51,18 +51,6 @@ results()
 }
 
 void
-BM_Fig06_LbSweep(benchmark::State &state)
-{
-    for (auto _ : state)
-        benchmark::DoNotOptimize(&results());
-    for (std::size_t c = 0; c < std::size(lbConfigs); ++c) {
-        state.counters[lbConfigs[c].label] =
-            results()[c].back().stats.predictionRate();
-    }
-}
-BENCHMARK(BM_Fig06_LbSweep)->Iterations(1)->Unit(benchmark::kMillisecond);
-
-void
 printResults()
 {
     const auto &r = results();

@@ -52,19 +52,6 @@ averageSpeedup(const std::vector<SpeedupResult> &rows)
 }
 
 void
-BM_Fig07_Speedup(benchmark::State &state)
-{
-    for (auto _ : state)
-        benchmark::DoNotOptimize(&results());
-    state.counters["stride_speedup"] =
-        averageSpeedup(results().stride);
-    state.counters["hybrid_speedup"] =
-        averageSpeedup(results().hybrid);
-}
-BENCHMARK(BM_Fig07_Speedup)->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
-void
 printResults()
 {
     const auto &r = results();

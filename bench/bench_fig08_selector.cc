@@ -26,22 +26,6 @@ results()
 }
 
 void
-BM_Fig08_Selector(benchmark::State &state)
-{
-    for (auto _ : state)
-        benchmark::DoNotOptimize(&results());
-    const auto &avg = results().back().stats;
-    state.counters["correct_selection"] = avg.correctSelectionRate();
-    const double both = static_cast<double>(avg.bothSpec);
-    if (avg.bothSpec != 0) {
-        state.counters["cap_states"] =
-            (avg.selectorState[2] + avg.selectorState[3]) / both;
-    }
-}
-BENCHMARK(BM_Fig08_Selector)->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
-void
 printResults()
 {
     Table table;

@@ -57,17 +57,6 @@ results()
 }
 
 void
-BM_Fig09_History(benchmark::State &state)
-{
-    for (auto _ : state)
-        benchmark::DoNotOptimize(&results());
-    state.counters["corr_len4"] = results().withCorr[3];
-    state.counters["nocorr_len4"] = results().withoutCorr[3];
-}
-BENCHMARK(BM_Fig09_History)->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
-void
 printResults()
 {
     const auto &r = results();

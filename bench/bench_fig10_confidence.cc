@@ -60,18 +60,6 @@ results()
 }
 
 void
-BM_Fig10_Confidence(benchmark::State &state)
-{
-    for (auto _ : state)
-        benchmark::DoNotOptimize(&results());
-    state.counters["notag_mispred"] = results()[0].mispredictionRate();
-    state.counters["8btag_path_mispred"] =
-        results()[4].mispredictionRate();
-}
-BENCHMARK(BM_Fig10_Confidence)->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
-void
 printResults()
 {
     Table table;

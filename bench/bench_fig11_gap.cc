@@ -53,19 +53,6 @@ results()
 }
 
 void
-BM_Fig11_Gap(benchmark::State &state)
-{
-    for (auto _ : state)
-        benchmark::DoNotOptimize(&results());
-    state.counters["hybrid_imm_rate"] =
-        results().hybrid[0].predictionRate();
-    state.counters["hybrid_gap8_rate"] =
-        results().hybrid[2].predictionRate();
-    state.counters["hybrid_gap8_acc"] = results().hybrid[2].accuracy();
-}
-BENCHMARK(BM_Fig11_Gap)->Iterations(1)->Unit(benchmark::kMillisecond);
-
-void
 printResults()
 {
     const auto &r = results();

@@ -71,19 +71,6 @@ perSuiteGeomean(const std::vector<SpeedupResult> &rows)
 }
 
 void
-BM_Fig12_SpeedupGap(benchmark::State &state)
-{
-    for (auto _ : state)
-        benchmark::DoNotOptimize(&results());
-    state.counters["hybrid_imm"] =
-        perSuiteGeomean(results().hybridImm)["Average"];
-    state.counters["hybrid_gap8"] =
-        perSuiteGeomean(results().hybridGap)["Average"];
-}
-BENCHMARK(BM_Fig12_SpeedupGap)->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
-void
 printResults()
 {
     const auto stride_imm = perSuiteGeomean(results().strideImm);

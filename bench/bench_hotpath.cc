@@ -170,18 +170,6 @@ results()
     return cached;
 }
 
-void
-BM_Hotpath(benchmark::State &state)
-{
-    for (auto _ : state)
-        benchmark::DoNotOptimize(&results());
-    double total_median = 0.0;
-    for (const HotpathRow &row : results().rows)
-        total_median += row.medianNs();
-    state.counters["median_ns_per_load_sum"] = total_median;
-}
-BENCHMARK(BM_Hotpath)->Iterations(1)->Unit(benchmark::kMillisecond);
-
 std::string
 perfJson()
 {
@@ -261,9 +249,8 @@ printResults()
     }
 }
 
-/** Strip the harness-specific flags before the shared flag layer
- *  (anything it does not recognise is handed to google-benchmark,
- *  which rejects unknown flags). */
+/** Strip the harness-specific flags before the shared flag layer,
+ *  which rejects any flag it does not know. */
 void
 parseHotpathFlags(int &argc, char **argv)
 {

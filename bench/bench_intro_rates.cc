@@ -37,18 +37,6 @@ results()
 }
 
 void
-BM_IntroRates(benchmark::State &state)
-{
-    for (auto _ : state)
-        benchmark::DoNotOptimize(&results());
-    state.counters["last_correct_of_loads"] =
-        results().last.back().stats.correctOfAllLoads();
-    state.counters["stride_correct_of_loads"] =
-        results().stride.back().stats.correctOfAllLoads();
-}
-BENCHMARK(BM_IntroRates)->Iterations(1)->Unit(benchmark::kMillisecond);
-
-void
 printResults()
 {
     const auto &r = results();

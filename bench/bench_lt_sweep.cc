@@ -59,18 +59,6 @@ results()
 }
 
 void
-BM_LtSweep(benchmark::State &state)
-{
-    for (auto _ : state)
-        benchmark::DoNotOptimize(&results());
-    for (std::size_t c = 0; c < std::size(ltSizes); ++c) {
-        state.counters["lt_" + std::to_string(ltSizes[c] / 1024) + "k"] =
-            results()[c].back().stats.predictionRate();
-    }
-}
-BENCHMARK(BM_LtSweep)->Iterations(1)->Unit(benchmark::kMillisecond);
-
-void
 printResults()
 {
     const auto &r = results();

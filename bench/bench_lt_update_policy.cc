@@ -51,19 +51,6 @@ results()
 }
 
 void
-BM_LtUpdatePolicy(benchmark::State &state)
-{
-    for (auto _ : state)
-        benchmark::DoNotOptimize(&results());
-    for (std::size_t p = 0; p < std::size(policies); ++p) {
-        state.counters[policies[p].label] =
-            results()[p].back().stats.predictionRate();
-    }
-}
-BENCHMARK(BM_LtUpdatePolicy)->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
-void
 printResults()
 {
     const auto &r = results();

@@ -294,20 +294,6 @@ results()
 }
 
 void
-BM_Net(benchmark::State &state)
-{
-    for (auto _ : state)
-        benchmark::DoNotOptimize(&results());
-    const NetLoadResult &res = results();
-    if (res.elapsedSec > 0.0) {
-        state.counters["wire_preds_per_sec"] =
-            static_cast<double>(res.clientTotals.predictsOk) /
-            res.elapsedSec;
-    }
-}
-BENCHMARK(BM_Net)->Iterations(1)->Unit(benchmark::kMillisecond);
-
-void
 printResults()
 {
     const NetLoadResult &res = results();

@@ -610,18 +610,6 @@ results()
 }
 
 void
-BM_NetChaos(benchmark::State &state)
-{
-    for (auto _ : state)
-        benchmark::DoNotOptimize(&results());
-    double wrong = 0.0;
-    for (const auto &row : results().chaos)
-        wrong += static_cast<double>(row.client.wrongReplies);
-    state.counters["wrong_replies"] = wrong;
-}
-BENCHMARK(BM_NetChaos)->Iterations(1)->Unit(benchmark::kMillisecond);
-
-void
 printResults()
 {
     const NetChaosResults &res = results();

@@ -142,19 +142,6 @@ results()
 }
 
 void
-BM_ProfileAssist(benchmark::State &state)
-{
-    for (auto _ : state)
-        benchmark::DoNotOptimize(&results());
-    state.counters["plain_small_correct"] =
-        results().plain[1].correctOfAllLoads();
-    state.counters["profiled_small_correct"] =
-        results().profiled[1].correctOfAllLoads();
-}
-BENCHMARK(BM_ProfileAssist)->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
-void
 printResults()
 {
     const auto &r = results();

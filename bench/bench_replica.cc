@@ -697,17 +697,6 @@ results()
 }
 
 void
-BM_Replica(benchmark::State &state)
-{
-    for (auto _ : state)
-        benchmark::DoNotOptimize(&results());
-    state.counters["wrong_replies"] = static_cast<double>(
-        results().balanced.client.wrongReplies +
-        results().failover.client.wrongReplies);
-}
-BENCHMARK(BM_Replica)->Iterations(1)->Unit(benchmark::kMillisecond);
-
-void
 printResults()
 {
     const ReplicaResults &res = results();

@@ -378,21 +378,6 @@ results()
 }
 
 void
-BM_Serve(benchmark::State &state)
-{
-    for (auto _ : state)
-        benchmark::DoNotOptimize(&results());
-    const auto &points = results().loadPoints;
-    if (!points.empty()) {
-        state.counters["preds_per_sec_1shard"] =
-            points.front().predictionsPerSec();
-        state.counters["preds_per_sec_sharded"] =
-            points.back().predictionsPerSec();
-    }
-}
-BENCHMARK(BM_Serve)->Iterations(1)->Unit(benchmark::kMillisecond);
-
-void
 printResults()
 {
     const ServeResults &res = results();
@@ -457,8 +442,8 @@ printResults()
                 "semantics\n");
 }
 
-/** Strip the chaos flags before google-benchmark sees (and rejects)
- *  them; the shared sweep flags are stripped by benchMain. */
+/** Strip the chaos flags before benchMain, which parses the shared
+ *  sweep flags and rejects any other flag. */
 void
 parseChaosFlags(int &argc, char **argv)
 {

@@ -1,14 +1,13 @@
 /**
  * @file
  * Shared helpers for the benchmark harnesses. Each bench binary
- * reproduces one table/figure of the paper: it times the simulation
- * with google-benchmark (single iteration — these are experiment
- * harnesses, not microbenchmarks) and prints a paper-style result
- * table afterwards, annotated with the values the paper reports.
+ * reproduces one table/figure of the paper: it runs its sweeps once
+ * and prints a paper-style result table, annotated with the values
+ * the paper reports.
  *
  * All harnesses route their sweeps through the resilient runner
- * (runner/sweep.hh) and share a flag layer on top of the
- * google-benchmark flags:
+ * (runner/sweep.hh) and share one flag layer (a harness strips its
+ * own flags first; any flag left over is an error, exit code 2):
  *
  *   --jobs=N        worker threads (default 1 = serial order)
  *   --timeout-ms=N  per-job wall-clock budget (0 = no watchdog)
@@ -29,8 +28,6 @@
 
 #ifndef CLAP_BENCH_BENCH_UTIL_HH
 #define CLAP_BENCH_BENCH_UTIL_HH
-
-#include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <cstdlib>
@@ -298,9 +295,10 @@ benchJson()
     return json;
 }
 
-/** Parse and strip the bench sweep flags from argv; exits on error. */
+/** Parse the bench sweep flags; prints the error and exits 2 on a
+ *  bad value or an unknown flag. */
 inline void
-parseSweepFlags(int &argc, char **argv, SweepOptions &options)
+parseSweepFlags(int argc, char **argv, SweepOptions &options)
 {
     auto bail = [](const std::string &message) {
         std::fprintf(stderr, "bench flags: %s\n", message.c_str());
@@ -320,7 +318,6 @@ parseSweepFlags(int &argc, char **argv, SweepOptions &options)
         }
     };
 
-    int out = 1;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         auto valueOf = [&](const std::string &prefix,
@@ -352,18 +349,15 @@ parseSweepFlags(int &argc, char **argv, SweepOptions &options)
         } else if (arg == "--no-json") {
             options.noJson = true;
         } else {
-            argv[out++] = argv[i]; // not ours: keep for benchmark
-            continue;
+            bail("unknown flag " + arg);
         }
     }
-    argc = out;
-    argv[argc] = nullptr;
 }
 
 /**
- * Shared main() of every bench binary: parse the sweep flags, run the
- * google-benchmark harness (which triggers the sweeps), print the
- * figure via @p printFn, then write the result JSON atomically.
+ * Shared main() of every bench binary: parse the sweep flags, print
+ * the figure via @p printFn (which runs the sweeps the first time it
+ * asks for their results), then write the result JSON atomically.
  */
 inline int
 benchMain(const std::string &name, int argc, char **argv,
@@ -391,8 +385,6 @@ benchMain(const std::string &name, int argc, char **argv,
         }
     }
 
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     printFn();
 
     const RunnerCounters &counters = state.counters;

@@ -11,6 +11,7 @@
 #include "core/predictor.hh"
 #include "core/stride_predictor.hh"
 #include "util/atomic_file.hh"
+#include "util/bytes.hh"
 #include "util/crc32.hh"
 
 namespace clap
@@ -18,127 +19,6 @@ namespace clap
 
 namespace
 {
-
-/** Little-endian append-only byte sink. */
-class ByteWriter
-{
-  public:
-    void
-    u8(std::uint8_t v)
-    {
-        out_ += static_cast<char>(v);
-    }
-
-    void b(bool v) { u8(v ? 1 : 0); }
-
-    void
-    u32(std::uint32_t v)
-    {
-        for (int i = 0; i < 4; ++i)
-            out_ += static_cast<char>((v >> (8 * i)) & 0xff);
-    }
-
-    void
-    u64(std::uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i)
-            out_ += static_cast<char>((v >> (8 * i)) & 0xff);
-    }
-
-    void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-
-    void
-    bytes(std::string_view data)
-    {
-        out_.append(data.data(), data.size());
-    }
-
-    const std::string &str() const { return out_; }
-    std::string take() { return std::move(out_); }
-
-  private:
-    std::string out_;
-};
-
-/** Little-endian cursor reader; every read reports underrun. */
-class ByteReader
-{
-  public:
-    explicit ByteReader(std::string_view data) : data_(data) {}
-
-    bool
-    u8(std::uint8_t &v)
-    {
-        if (pos_ >= data_.size())
-            return false;
-        v = static_cast<std::uint8_t>(data_[pos_++]);
-        return true;
-    }
-
-    bool
-    b(bool &v)
-    {
-        std::uint8_t raw = 0;
-        if (!u8(raw) || raw > 1)
-            return false;
-        v = raw != 0;
-        return true;
-    }
-
-    bool
-    u32(std::uint32_t &v)
-    {
-        if (data_.size() - pos_ < 4)
-            return false;
-        v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= static_cast<std::uint32_t>(
-                     static_cast<std::uint8_t>(data_[pos_++]))
-                << (8 * i);
-        return true;
-    }
-
-    bool
-    u64(std::uint64_t &v)
-    {
-        if (data_.size() - pos_ < 8)
-            return false;
-        v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<std::uint64_t>(
-                     static_cast<std::uint8_t>(data_[pos_++]))
-                << (8 * i);
-        return true;
-    }
-
-    bool
-    i64(std::int64_t &v)
-    {
-        std::uint64_t raw = 0;
-        if (!u64(raw))
-            return false;
-        v = static_cast<std::int64_t>(raw);
-        return true;
-    }
-
-    bool
-    bytes(std::string_view &out, std::size_t len)
-    {
-        if (data_.size() - pos_ < len)
-            return false;
-        out = data_.substr(pos_, len);
-        pos_ += len;
-        return true;
-    }
-
-    bool done() const { return pos_ == data_.size(); }
-    std::size_t pos() const { return pos_; }
-    std::size_t remaining() const { return data_.size() - pos_; }
-
-  private:
-    std::string_view data_;
-    std::size_t pos_ = 0;
-};
 
 void
 putSatCounter(ByteWriter &w, const SatCounter &c)
@@ -645,7 +525,8 @@ encodePredictorState(const AddressPredictor &pred,
     w.u32(static_cast<std::uint32_t>(sections.size()));
     for (const auto &[id, payload] : sections)
         appendSection(w, id, payload);
-    const std::uint32_t footer = crc32(w.str().data(), w.str().size());
+    const std::uint32_t footer =
+        crc32(w.buffer().data(), w.buffer().size());
     w.u32(footer);
     return w.take();
 }

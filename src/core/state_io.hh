@@ -8,8 +8,8 @@
  * the captured one: it passes core/audit.hh and produces identical
  * PredictionStats on any continuation trace.
  *
- * On-disk layout (little-endian, explicit per-field serialization —
- * the trace-v2 idiom, see trace/trace_io.hh):
+ * On-disk layout (little-endian, explicit per-field serialization
+ * through util/bytes.hh, like trace files and wire frames):
  *
  *   magic    "CLAPSTA\0"         8 bytes
  *   version  u32                 (1 = current)

@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "util/bytes.hh"
 #include "util/crc32.hh"
 
 namespace clap::net
@@ -35,128 +36,29 @@ frameTypeName(FrameType type)
     return "Unknown";
 }
 
-void
-putU8(std::string &out, std::uint8_t v)
-{
-    out.push_back(static_cast<char>(v));
-}
-
-void
-putU16(std::string &out, std::uint16_t v)
-{
-    for (int i = 0; i < 2; ++i)
-        out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-void
-putU32(std::string &out, std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-void
-putU64(std::string &out, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-void
-putString(std::string &out, std::string_view s)
-{
-    putU32(out, static_cast<std::uint32_t>(s.size()));
-    out.append(s.data(), s.size());
-}
-
-bool
-getU8(std::string_view in, std::size_t &pos, std::uint8_t &v)
-{
-    if (pos + 1 > in.size())
-        return false;
-    v = static_cast<std::uint8_t>(in[pos++]);
-    return true;
-}
-
-bool
-getU16(std::string_view in, std::size_t &pos, std::uint16_t &v)
-{
-    if (pos + 2 > in.size())
-        return false;
-    v = 0;
-    for (int i = 0; i < 2; ++i)
-        v |= static_cast<std::uint16_t>(
-            static_cast<std::uint8_t>(in[pos + i])) << (8 * i);
-    pos += 2;
-    return true;
-}
-
-bool
-getU32(std::string_view in, std::size_t &pos, std::uint32_t &v)
-{
-    if (pos + 4 > in.size())
-        return false;
-    v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= static_cast<std::uint32_t>(
-            static_cast<std::uint8_t>(in[pos + i])) << (8 * i);
-    pos += 4;
-    return true;
-}
-
-bool
-getU64(std::string_view in, std::size_t &pos, std::uint64_t &v)
-{
-    if (pos + 8 > in.size())
-        return false;
-    v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(
-            static_cast<std::uint8_t>(in[pos + i])) << (8 * i);
-    pos += 8;
-    return true;
-}
-
-bool
-getString(std::string_view in, std::size_t &pos, std::string &s)
-{
-    std::uint32_t len = 0;
-    if (!getU32(in, pos, len))
-        return false;
-    if (pos + len > in.size())
-        return false;
-    s.assign(in.data() + pos, len);
-    pos += len;
-    return true;
-}
-
 std::string
 encodeFrame(const Frame &frame)
 {
     // Per-frame versioning: only frames carrying a trace context pay
     // the v3 prefix; everything else is byte-identical to a v2 build.
     const bool traced = frame.trace.valid();
-    std::string body;
+    const std::size_t length =
+        (traced ? traceContextBytes : 0) + frame.payload.size();
+    ByteWriter w(frameHeaderBytes + length + frameTrailerBytes);
+    w.u32(wireMagic);
+    w.u16(traced ? wireVersion : wireVersionBase);
+    w.u16(static_cast<std::uint16_t>(frame.type));
+    w.u64(frame.id);
+    w.u32(static_cast<std::uint32_t>(length));
+    w.u32(crc32(w.buffer().data(), w.buffer().size()));
     if (traced) {
-        body.reserve(traceContextBytes + frame.payload.size());
-        putU64(body, frame.trace.traceId);
-        putU64(body, frame.trace.spanId);
-        putU8(body, frame.trace.sampled ? 1 : 0);
-        body += frame.payload;
+        w.u64(frame.trace.traceId);
+        w.u64(frame.trace.spanId);
+        w.u8(frame.trace.sampled ? 1 : 0);
     }
-    const std::string &payload = traced ? body : frame.payload;
-
-    std::string out;
-    out.reserve(frameHeaderBytes + payload.size() + frameTrailerBytes);
-    putU32(out, wireMagic);
-    putU16(out, traced ? wireVersion : wireVersionBase);
-    putU16(out, static_cast<std::uint16_t>(frame.type));
-    putU64(out, frame.id);
-    putU32(out, static_cast<std::uint32_t>(payload.size()));
-    putU32(out, crc32(out.data(), out.size()));
-    out += payload;
-    putU32(out, crc32(payload.data(), payload.size()));
-    return out;
+    w.bytes(frame.payload);
+    w.u32(crc32(w.buffer().data() + frameHeaderBytes, length));
+    return w.take();
 }
 
 void
@@ -185,17 +87,18 @@ FrameReader::next(Frame &out, Error &error)
     if (view.size() < frameHeaderBytes)
         return Status::NeedMore;
 
-    std::size_t pos = 0;
+    // The view holds a whole header, so none of these reads can fail.
+    ByteReader header(view);
     std::uint32_t magic = 0, length = 0, hcrc = 0;
     std::uint16_t version = 0, rawType = 0;
     std::uint64_t id = 0;
-    getU32(view, pos, magic);
-    getU16(view, pos, version);
-    getU16(view, pos, rawType);
-    getU64(view, pos, id);
-    getU32(view, pos, length);
-    const std::uint32_t want_hcrc = crc32(view.data(), pos);
-    getU32(view, pos, hcrc);
+    header.u32(magic);
+    header.u16(version);
+    header.u16(rawType);
+    header.u64(id);
+    header.u32(length);
+    const std::uint32_t want_hcrc = crc32(view.data(), header.pos());
+    header.u32(hcrc);
 
     // Validate the header CRC before *any* header field: with a bad
     // CRC every field (including length) is untrustworthy.
@@ -246,11 +149,11 @@ FrameReader::next(Frame &out, Error &error)
     if (view.size() < total)
         return Status::NeedMore;
 
-    const std::string_view payload = view.substr(frameHeaderBytes,
-                                                 length);
-    std::size_t tpos = frameHeaderBytes + length;
+    ByteReader body(view.substr(frameHeaderBytes));
+    std::string_view payload;
     std::uint32_t pcrc = 0;
-    getU32(view, tpos, pcrc);
+    body.bytes(payload, length);
+    body.u32(pcrc);
     if (pcrc != crc32(payload.data(), payload.size())) {
         poisoned_ = true;
         error = makeError(ErrorCode::BadChecksum,
@@ -262,11 +165,11 @@ FrameReader::next(Frame &out, Error &error)
     out.id = id;
     out.trace = obs::TraceContext{};
     if (version >= 3) {
-        std::size_t ppos = 0;
+        ByteReader prefix(payload);
         std::uint8_t flags = 0;
-        getU64(payload, ppos, out.trace.traceId);
-        getU64(payload, ppos, out.trace.spanId);
-        getU8(payload, ppos, flags);
+        prefix.u64(out.trace.traceId);
+        prefix.u64(out.trace.spanId);
+        prefix.u8(flags);
         out.trace.sampled = (flags & 1u) != 0;
         if (!out.trace.valid()) {
             poisoned_ = true;
@@ -274,37 +177,38 @@ FrameReader::next(Frame &out, Error &error)
                               "v3 frame with null trace id");
             return Status::Corrupt;
         }
-        out.payload.assign(payload.data() + traceContextBytes,
-                           payload.size() - traceContextBytes);
-    } else {
-        out.payload.assign(payload.data(), payload.size());
+        payload.remove_prefix(traceContextBytes);
     }
+    out.payload.assign(payload.data(), payload.size());
     consumed_ += total;
     return Status::Ok;
 }
 
-void
-putLoadInfo(std::string &out, const LoadInfo &info)
+namespace
 {
-    putU64(out, info.pc);
-    putU32(out, static_cast<std::uint32_t>(info.immOffset));
-    putU64(out, info.ghr);
-    putU64(out, info.pathHist);
+
+void
+putLoadInfo(ByteWriter &w, const LoadInfo &info)
+{
+    w.u64(info.pc);
+    w.u32(static_cast<std::uint32_t>(info.immOffset));
+    w.u64(info.ghr);
+    w.u64(info.pathHist);
 }
 
 bool
-getLoadInfo(std::string_view in, std::size_t &pos, LoadInfo &info)
+getLoadInfo(ByteReader &r, LoadInfo &info)
 {
     std::uint32_t imm = 0;
-    if (!getU64(in, pos, info.pc) || !getU32(in, pos, imm) ||
-        !getU64(in, pos, info.ghr) || !getU64(in, pos, info.pathHist))
+    if (!r.u64(info.pc) || !r.u32(imm) || !r.u64(info.ghr) ||
+        !r.u64(info.pathHist))
         return false;
     info.immOffset = static_cast<std::int32_t>(imm);
     return true;
 }
 
 void
-putPrediction(std::string &out, const Prediction &pred)
+putPrediction(ByteWriter &w, const Prediction &pred)
 {
     // Pack the seven booleans into one flags byte; every other field
     // at full width. A predictor's update() reads all of these, so a
@@ -318,26 +222,24 @@ putPrediction(std::string &out, const Prediction &pred)
     flags |= pred.strideHasAddr ? 1u << 5 : 0;
     flags |= pred.strideSpec ? 1u << 6 : 0;
     flags |= pred.lbHandle.valid ? 1u << 7 : 0;
-    putU8(out, flags);
-    putU8(out, static_cast<std::uint8_t>(pred.component));
-    putU8(out, pred.selectorState);
-    putU64(out, pred.addr);
-    putU64(out, pred.capAddr);
-    putU64(out, pred.strideAddr);
-    putU32(out, pred.lbHandle.slot);
-    putU32(out, pred.lbHandle.gen);
+    w.u8(flags);
+    w.u8(static_cast<std::uint8_t>(pred.component));
+    w.u8(pred.selectorState);
+    w.u64(pred.addr);
+    w.u64(pred.capAddr);
+    w.u64(pred.strideAddr);
+    w.u32(pred.lbHandle.slot);
+    w.u32(pred.lbHandle.gen);
 }
 
 bool
-getPrediction(std::string_view in, std::size_t &pos, Prediction &pred)
+getPrediction(ByteReader &r, Prediction &pred)
 {
     std::uint8_t flags = 0, component = 0;
-    if (!getU8(in, pos, flags) || !getU8(in, pos, component) ||
-        !getU8(in, pos, pred.selectorState) ||
-        !getU64(in, pos, pred.addr) || !getU64(in, pos, pred.capAddr) ||
-        !getU64(in, pos, pred.strideAddr) ||
-        !getU32(in, pos, pred.lbHandle.slot) ||
-        !getU32(in, pos, pred.lbHandle.gen))
+    if (!r.u8(flags) || !r.u8(component) || !r.u8(pred.selectorState) ||
+        !r.u64(pred.addr) || !r.u64(pred.capAddr) ||
+        !r.u64(pred.strideAddr) || !r.u32(pred.lbHandle.slot) ||
+        !r.u32(pred.lbHandle.gen))
         return false;
     if (component > static_cast<std::uint8_t>(Component::Cap))
         return false;
@@ -353,108 +255,23 @@ getPrediction(std::string_view in, std::size_t &pos, Prediction &pred)
     return true;
 }
 
-void
-putPredictionStats(std::string &out, const PredictionStats &stats)
-{
-    putU64(out, stats.loads);
-    putU64(out, stats.lbHits);
-    putU64(out, stats.formed);
-    putU64(out, stats.formedCorrect);
-    putU64(out, stats.spec);
-    putU64(out, stats.specCorrect);
-    for (std::size_t i = 0; i < stats.specBy.size(); ++i)
-        putU64(out, stats.specBy[i]);
-    for (std::size_t i = 0; i < stats.specCorrectBy.size(); ++i)
-        putU64(out, stats.specCorrectBy[i]);
-    putU64(out, stats.bothSpec);
-    for (std::size_t i = 0; i < stats.selectorState.size(); ++i)
-        putU64(out, stats.selectorState[i]);
-    putU64(out, stats.missSelections);
-}
-
-bool
-getPredictionStats(std::string_view in, std::size_t &pos,
-                   PredictionStats &stats)
-{
-    if (!getU64(in, pos, stats.loads) ||
-        !getU64(in, pos, stats.lbHits) ||
-        !getU64(in, pos, stats.formed) ||
-        !getU64(in, pos, stats.formedCorrect) ||
-        !getU64(in, pos, stats.spec) ||
-        !getU64(in, pos, stats.specCorrect))
-        return false;
-    for (std::size_t i = 0; i < stats.specBy.size(); ++i)
-        if (!getU64(in, pos, stats.specBy[i]))
-            return false;
-    for (std::size_t i = 0; i < stats.specCorrectBy.size(); ++i)
-        if (!getU64(in, pos, stats.specCorrectBy[i]))
-            return false;
-    if (!getU64(in, pos, stats.bothSpec))
-        return false;
-    for (std::size_t i = 0; i < stats.selectorState.size(); ++i)
-        if (!getU64(in, pos, stats.selectorState[i]))
-            return false;
-    return getU64(in, pos, stats.missSelections);
-}
-
-void
-putError(std::string &out, const Error &error)
-{
-    putU8(out, static_cast<std::uint8_t>(error.code()));
-    putU8(out, isRetryable(error.code()) ? 1 : 0);
-    // Message and contexts travel separately: str() prepends the code
-    // name, and wrapping str() as the message would make the receiver
-    // render "Code: Code: ..." — the name must appear exactly once.
-    putString(out, error.message());
-    const auto &contexts = error.contexts();
-    putU32(out, static_cast<std::uint32_t>(contexts.size()));
-    for (const std::string &context : contexts)
-        putString(out, context);
-}
-
-bool
-getError(std::string_view in, std::size_t &pos, Error &error)
-{
-    std::uint8_t raw_code = 0, retryable = 0;
-    std::string message;
-    std::uint32_t contexts = 0;
-    if (!getU8(in, pos, raw_code) || !getU8(in, pos, retryable) ||
-        !getString(in, pos, message) || !getU32(in, pos, contexts))
-        return false;
-    if (raw_code > static_cast<std::uint8_t>(ErrorCode::DeadlineExceeded))
-        return false;
-    // Each context costs at least its 4-byte length prefix.
-    if (pos > in.size() || contexts > (in.size() - pos) / 4 + 1)
-        return false;
-    Error decoded = makeError(static_cast<ErrorCode>(raw_code),
-                              std::move(message));
-    for (std::uint32_t i = 0; i < contexts; ++i) {
-        std::string context;
-        if (!getString(in, pos, context))
-            return false;
-        // withContext appends in place; order round-trips exactly.
-        (void)std::move(decoded).withContext(std::move(context));
-    }
-    error = std::move(decoded);
-    return true;
-}
+} // namespace
 
 std::string
 encodeHello(std::string_view client_name, std::uint16_t version)
 {
-    std::string out;
-    putU16(out, version);
-    putString(out, client_name);
-    return out;
+    ByteWriter w;
+    w.u16(version);
+    w.str(client_name);
+    return w.take();
 }
 
 bool
 decodeHello(std::string_view payload, std::uint16_t &version,
             std::string &client_name)
 {
-    std::size_t pos = 0;
-    return getU16(payload, pos, version) &&
-        getString(payload, pos, client_name) && pos == payload.size();
+    ByteReader r(payload);
+    return r.u16(version) && r.str(client_name) && r.done();
 }
 
 std::string
@@ -462,14 +279,14 @@ encodeHelloOk(std::string_view server_name,
               std::uint16_t negotiated_version,
               std::uint64_t clock_epoch_unix_ns)
 {
-    std::string out;
-    putU16(out, negotiated_version);
-    putString(out, server_name);
+    ByteWriter w;
+    w.u16(negotiated_version);
+    w.str(server_name);
     // Only a >= v3 peer knows to read the epoch; emitting it to a v2
     // peer would fail its strict whole-payload decode.
     if (negotiated_version >= 3)
-        putU64(out, clock_epoch_unix_ns);
-    return out;
+        w.u64(clock_epoch_unix_ns);
+    return w.take();
 }
 
 bool
@@ -477,30 +294,29 @@ decodeHelloOk(std::string_view payload, std::uint16_t &version,
               std::string &server_name,
               std::uint64_t &clock_epoch_unix_ns)
 {
-    std::size_t pos = 0;
+    ByteReader r(payload);
     clock_epoch_unix_ns = 0;
-    if (!getU16(payload, pos, version) ||
-        !getString(payload, pos, server_name))
+    if (!r.u16(version) || !r.str(server_name))
         return false;
-    if (version >= 3 && !getU64(payload, pos, clock_epoch_unix_ns))
+    if (version >= 3 && !r.u64(clock_epoch_unix_ns))
         return false;
-    return pos == payload.size();
+    return r.done();
 }
 
 std::string
 encodeObsFetch(bool include_timing)
 {
-    std::string out;
-    putU8(out, include_timing ? 1 : 0);
-    return out;
+    ByteWriter w;
+    w.u8(include_timing ? 1 : 0);
+    return w.take();
 }
 
 bool
 decodeObsFetch(std::string_view payload, bool &include_timing)
 {
-    std::size_t pos = 0;
+    ByteReader r(payload);
     std::uint8_t flags = 0;
-    if (!getU8(payload, pos, flags) || pos != payload.size())
+    if (!r.u8(flags) || !r.done())
         return false;
     include_timing = (flags & 1u) != 0;
     return true;
@@ -509,106 +325,134 @@ decodeObsFetch(std::string_view payload, bool &include_timing)
 std::string
 encodePredictRequest(const LoadInfo &info)
 {
-    std::string out;
-    putLoadInfo(out, info);
-    return out;
+    ByteWriter w;
+    putLoadInfo(w, info);
+    return w.take();
 }
 
 bool
 decodePredictRequest(std::string_view payload, LoadInfo &info)
 {
-    std::size_t pos = 0;
-    return getLoadInfo(payload, pos, info) && pos == payload.size();
+    ByteReader r(payload);
+    return getLoadInfo(r, info) && r.done();
 }
 
 std::string
 encodePredictResponse(std::uint64_t pc, const Prediction &pred)
 {
-    std::string out;
-    putU64(out, pc);
-    putPrediction(out, pred);
-    return out;
+    ByteWriter w;
+    w.u64(pc);
+    putPrediction(w, pred);
+    return w.take();
 }
 
 bool
 decodePredictResponse(std::string_view payload, std::uint64_t &pc,
                       Prediction &pred)
 {
-    std::size_t pos = 0;
-    return getU64(payload, pos, pc) &&
-        getPrediction(payload, pos, pred) && pos == payload.size();
+    ByteReader r(payload);
+    return r.u64(pc) && getPrediction(r, pred) && r.done();
 }
 
 std::string
 encodeTrainRequest(const LoadInfo &info, std::uint64_t actual_addr,
                    const Prediction &pred)
 {
-    std::string out;
-    putLoadInfo(out, info);
-    putU64(out, actual_addr);
-    putPrediction(out, pred);
-    return out;
+    ByteWriter w;
+    putLoadInfo(w, info);
+    w.u64(actual_addr);
+    putPrediction(w, pred);
+    return w.take();
 }
 
 bool
 decodeTrainRequest(std::string_view payload, LoadInfo &info,
                    std::uint64_t &actual_addr, Prediction &pred)
 {
-    std::size_t pos = 0;
-    return getLoadInfo(payload, pos, info) &&
-        getU64(payload, pos, actual_addr) &&
-        getPrediction(payload, pos, pred) && pos == payload.size();
+    ByteReader r(payload);
+    return getLoadInfo(r, info) && r.u64(actual_addr) &&
+        getPrediction(r, pred) && r.done();
 }
 
 std::string
 encodeErrorPayload(const Error &error)
 {
-    std::string out;
-    putError(out, error);
-    return out;
+    ByteWriter w;
+    w.u8(static_cast<std::uint8_t>(error.code()));
+    w.u8(isRetryable(error.code()) ? 1 : 0);
+    // Message and contexts travel separately: str() prepends the code
+    // name, and wrapping str() as the message would make the receiver
+    // render "Code: Code: ..." — the name must appear exactly once.
+    w.str(error.message());
+    const auto &contexts = error.contexts();
+    w.u32(static_cast<std::uint32_t>(contexts.size()));
+    for (const std::string &context : contexts)
+        w.str(context);
+    return w.take();
 }
 
 bool
 decodeErrorPayload(std::string_view payload, Error &error)
 {
-    std::size_t pos = 0;
-    return getError(payload, pos, error) && pos == payload.size();
+    ByteReader r(payload);
+    std::uint8_t raw_code = 0, retryable = 0;
+    std::string message;
+    std::uint32_t contexts = 0;
+    if (!r.u8(raw_code) || !r.u8(retryable) || !r.str(message) ||
+        !r.u32(contexts))
+        return false;
+    if (raw_code > static_cast<std::uint8_t>(ErrorCode::DeadlineExceeded))
+        return false;
+    // Each context costs at least its 4-byte length prefix.
+    if (contexts > r.remaining() / 4 + 1)
+        return false;
+    Error decoded = makeError(static_cast<ErrorCode>(raw_code),
+                              std::move(message));
+    for (std::uint32_t i = 0; i < contexts; ++i) {
+        std::string context;
+        if (!r.str(context))
+            return false;
+        // withContext appends in place; order round-trips exactly.
+        (void)std::move(decoded).withContext(std::move(context));
+    }
+    if (!r.done())
+        return false;
+    error = std::move(decoded);
+    return true;
 }
 
 std::string
 encodeServiceStats(const ServiceWireStats &stats)
 {
-    std::string out;
-    putPredictionStats(out, stats.aggregate);
-    putU32(out, static_cast<std::uint32_t>(stats.shards.size()));
+    ByteWriter w;
+    putPredictionStats(w, stats.aggregate);
+    w.u32(static_cast<std::uint32_t>(stats.shards.size()));
     for (const auto &shard : stats.shards) {
-        putU64(out, shard.predicts);
-        putU64(out, shard.trains);
-        putU64(out, shard.rejected);
-        putU64(out, shard.unavailable);
-        putU64(out, shard.queueDepth);
-        putU8(out, shard.quarantined);
-        putPredictionStats(out, shard.stats);
+        w.u64(shard.predicts);
+        w.u64(shard.trains);
+        w.u64(shard.rejected);
+        w.u64(shard.unavailable);
+        w.u64(shard.queueDepth);
+        w.u8(shard.quarantined);
+        putPredictionStats(w, shard.stats);
     }
     const auto &sup = stats.supervisor;
-    putU64(out, sup.snapshots);
-    putU64(out, sup.snapshotFailures);
-    putU64(out, sup.recoveries);
-    putU64(out, sup.strictRestores);
-    putU64(out, sup.salvagedRestores);
-    putU64(out, sup.freshRestarts);
-    putU64(out, sup.unrecovered);
-    return out;
+    w.u64(sup.snapshots);
+    w.u64(sup.snapshotFailures);
+    w.u64(sup.recoveries);
+    w.u64(sup.strictRestores);
+    w.u64(sup.salvagedRestores);
+    w.u64(sup.freshRestarts);
+    w.u64(sup.unrecovered);
+    return w.take();
 }
 
 bool
 decodeServiceStats(std::string_view payload, ServiceWireStats &stats)
 {
-    std::size_t pos = 0;
-    if (!getPredictionStats(payload, pos, stats.aggregate))
-        return false;
+    ByteReader r(payload);
     std::uint32_t shards = 0;
-    if (!getU32(payload, pos, shards))
+    if (!getPredictionStats(r, stats.aggregate) || !r.u32(shards))
         return false;
     // 41 bytes of counters + 160 bytes of PredictionStats per shard
     // entry; bound before reserving.
@@ -618,76 +462,68 @@ decodeServiceStats(std::string_view payload, ServiceWireStats &stats)
     stats.shards.reserve(shards);
     for (std::uint32_t i = 0; i < shards; ++i) {
         ShardWireStats shard;
-        if (!getU64(payload, pos, shard.predicts) ||
-            !getU64(payload, pos, shard.trains) ||
-            !getU64(payload, pos, shard.rejected) ||
-            !getU64(payload, pos, shard.unavailable) ||
-            !getU64(payload, pos, shard.queueDepth) ||
-            !getU8(payload, pos, shard.quarantined) ||
-            !getPredictionStats(payload, pos, shard.stats))
+        if (!r.u64(shard.predicts) || !r.u64(shard.trains) ||
+            !r.u64(shard.rejected) || !r.u64(shard.unavailable) ||
+            !r.u64(shard.queueDepth) || !r.u8(shard.quarantined) ||
+            !getPredictionStats(r, shard.stats))
             return false;
         stats.shards.push_back(shard);
     }
     auto &sup = stats.supervisor;
-    return getU64(payload, pos, sup.snapshots) &&
-        getU64(payload, pos, sup.snapshotFailures) &&
-        getU64(payload, pos, sup.recoveries) &&
-        getU64(payload, pos, sup.strictRestores) &&
-        getU64(payload, pos, sup.salvagedRestores) &&
-        getU64(payload, pos, sup.freshRestarts) &&
-        getU64(payload, pos, sup.unrecovered) && pos == payload.size();
+    return r.u64(sup.snapshots) && r.u64(sup.snapshotFailures) &&
+        r.u64(sup.recoveries) && r.u64(sup.strictRestores) &&
+        r.u64(sup.salvagedRestores) && r.u64(sup.freshRestarts) &&
+        r.u64(sup.unrecovered) && r.done();
 }
 
 std::string
 encodeSnapshotRequest(std::uint32_t shard)
 {
-    std::string out;
-    putU32(out, shard);
-    return out;
+    ByteWriter w;
+    w.u32(shard);
+    return w.take();
 }
 
 bool
 decodeSnapshotRequest(std::string_view payload, std::uint32_t &shard)
 {
-    std::size_t pos = 0;
-    return getU32(payload, pos, shard) && pos == payload.size();
+    ByteReader r(payload);
+    return r.u32(shard) && r.done();
 }
 
 std::string
 encodeSnapshotData(std::uint32_t shard, std::string_view bytes)
 {
-    std::string out;
-    putU32(out, shard);
-    putString(out, bytes);
-    return out;
+    ByteWriter w(8 + bytes.size());
+    w.u32(shard);
+    w.str(bytes);
+    return w.take();
 }
 
 bool
 decodeSnapshotData(std::string_view payload, std::uint32_t &shard,
                    std::string &bytes)
 {
-    std::size_t pos = 0;
-    return getU32(payload, pos, shard) &&
-        getString(payload, pos, bytes) && pos == payload.size();
+    ByteReader r(payload);
+    return r.u32(shard) && r.str(bytes) && r.done();
 }
 
 std::string
 encodeSnapshotInstallOk(std::uint32_t restored, bool salvaged)
 {
-    std::string out;
-    putU32(out, restored);
-    putU8(out, salvaged ? 1 : 0);
-    return out;
+    ByteWriter w;
+    w.u32(restored);
+    w.u8(salvaged ? 1 : 0);
+    return w.take();
 }
 
 bool
 decodeSnapshotInstallOk(std::string_view payload,
                         std::uint32_t &restored, bool &salvaged)
 {
-    std::size_t pos = 0;
+    ByteReader r(payload);
     std::uint8_t flag = 0;
-    if (!getU32(payload, pos, restored) || !getU8(payload, pos, flag) ||
-        pos != payload.size())
+    if (!r.u32(restored) || !r.u8(flag) || !r.done())
         return false;
     salvaged = flag != 0;
     return true;

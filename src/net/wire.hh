@@ -171,42 +171,11 @@ class FrameReader
     bool poisoned_ = false;
 };
 
-/// @name Little-endian payload primitives
-/// @{
-void putU8(std::string &out, std::uint8_t v);
-void putU16(std::string &out, std::uint16_t v);
-void putU32(std::string &out, std::uint32_t v);
-void putU64(std::string &out, std::uint64_t v);
-void putString(std::string &out, std::string_view s); ///< u32 len + bytes
-
-bool getU8(std::string_view in, std::size_t &pos, std::uint8_t &v);
-bool getU16(std::string_view in, std::size_t &pos, std::uint16_t &v);
-bool getU32(std::string_view in, std::size_t &pos, std::uint32_t &v);
-bool getU64(std::string_view in, std::size_t &pos, std::uint64_t &v);
-bool getString(std::string_view in, std::size_t &pos, std::string &s);
-/// @}
-
-/// @name Typed payload codecs
-/// Decoders return false on any length/bounds violation; callers turn
-/// that into a ProtocolError. Every field a predictor's update() or
-/// tallyPrediction() reads round-trips exactly.
-/// @{
-void putLoadInfo(std::string &out, const LoadInfo &info);
-bool getLoadInfo(std::string_view in, std::size_t &pos, LoadInfo &info);
-
-void putPrediction(std::string &out, const Prediction &pred);
-bool getPrediction(std::string_view in, std::size_t &pos,
-                   Prediction &pred);
-
-void putPredictionStats(std::string &out, const PredictionStats &stats);
-bool getPredictionStats(std::string_view in, std::size_t &pos,
-                        PredictionStats &stats);
-
-void putError(std::string &out, const Error &error);
-bool getError(std::string_view in, std::size_t &pos, Error &error);
-/// @}
-
 /// @name Whole-payload builders for the concrete frame kinds
+/// Every field goes through util/bytes.hh. Decoders return false on
+/// any length/bounds violation or trailing bytes; callers turn that
+/// into a ProtocolError. Every field a predictor's update() or
+/// tallyPrediction() reads round-trips exactly.
 /// @{
 
 /** Hello payload: protocol version + client name. The payload shape

@@ -17,31 +17,11 @@ namespace
 {
 
 /// @name Serve-counter section (piggybacked on the state snapshot)
-/// Little-endian u64 stream: every PredictionStats counter followed by
-/// the shard's predicts/trains/batches/audits, so a restore rolls the
-/// serve-side tallies back to the capture point before journal replay
-/// rolls them forward again.
+/// The shard's PredictionStats (sim/metrics.hh codec) followed by its
+/// predicts/trains/batches/audits as little-endian u64s, so a restore
+/// rolls the serve-side tallies back to the capture point before
+/// journal replay rolls them forward again.
 /// @{
-
-void
-putU64(std::string &out, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        out += static_cast<char>((v >> (8 * i)) & 0xff);
-}
-
-bool
-getU64(std::string_view bytes, std::size_t &pos, std::uint64_t &v)
-{
-    if (bytes.size() - pos < 8)
-        return false;
-    v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(
-                 static_cast<std::uint8_t>(bytes[pos++]))
-            << (8 * i);
-    return true;
-}
 
 struct ServeCounters
 {
@@ -55,51 +35,22 @@ struct ServeCounters
 std::string
 encodeServeCounters(const ServeCounters &c)
 {
-    std::string out;
-    putU64(out, c.stats.loads);
-    putU64(out, c.stats.lbHits);
-    putU64(out, c.stats.formed);
-    putU64(out, c.stats.formedCorrect);
-    putU64(out, c.stats.spec);
-    putU64(out, c.stats.specCorrect);
-    for (const std::uint64_t v : c.stats.specBy)
-        putU64(out, v);
-    for (const std::uint64_t v : c.stats.specCorrectBy)
-        putU64(out, v);
-    putU64(out, c.stats.bothSpec);
-    for (const std::uint64_t v : c.stats.selectorState)
-        putU64(out, v);
-    putU64(out, c.stats.missSelections);
-    putU64(out, c.predicts);
-    putU64(out, c.trains);
-    putU64(out, c.batches);
-    putU64(out, c.audits);
-    return out;
+    ByteWriter w;
+    putPredictionStats(w, c.stats);
+    w.u64(c.predicts);
+    w.u64(c.trains);
+    w.u64(c.batches);
+    w.u64(c.audits);
+    return w.take();
 }
 
 bool
 decodeServeCounters(std::string_view bytes, ServeCounters &c)
 {
-    std::size_t pos = 0;
-    bool good = getU64(bytes, pos, c.stats.loads) &&
-                getU64(bytes, pos, c.stats.lbHits) &&
-                getU64(bytes, pos, c.stats.formed) &&
-                getU64(bytes, pos, c.stats.formedCorrect) &&
-                getU64(bytes, pos, c.stats.spec) &&
-                getU64(bytes, pos, c.stats.specCorrect);
-    for (std::uint64_t &v : c.stats.specBy)
-        good = good && getU64(bytes, pos, v);
-    for (std::uint64_t &v : c.stats.specCorrectBy)
-        good = good && getU64(bytes, pos, v);
-    good = good && getU64(bytes, pos, c.stats.bothSpec);
-    for (std::uint64_t &v : c.stats.selectorState)
-        good = good && getU64(bytes, pos, v);
-    good = good && getU64(bytes, pos, c.stats.missSelections) &&
-           getU64(bytes, pos, c.predicts) &&
-           getU64(bytes, pos, c.trains) &&
-           getU64(bytes, pos, c.batches) &&
-           getU64(bytes, pos, c.audits);
-    return good && pos == bytes.size();
+    ByteReader r(bytes);
+    return getPredictionStats(r, c.stats) && r.u64(c.predicts) &&
+           r.u64(c.trains) && r.u64(c.batches) && r.u64(c.audits) &&
+           r.done();
 }
 
 /** Caller-section id for the serve counters. */

@@ -14,6 +14,7 @@
 #include <cstdint>
 
 #include "core/predictor.hh"
+#include "util/bytes.hh"
 #include "util/stats.hh"
 
 namespace clap
@@ -79,6 +80,48 @@ struct PredictionStats
         missSelections += other.missSelections;
     }
 };
+
+/**
+ * The one byte encoding of PredictionStats: its 20 counters as
+ * little-endian u64s in declaration order (160 bytes). The wire
+ * StatsOk payload and the serve-counter snapshot section both embed
+ * it.
+ */
+inline void
+putPredictionStats(ByteWriter &w, const PredictionStats &stats)
+{
+    w.u64(stats.loads);
+    w.u64(stats.lbHits);
+    w.u64(stats.formed);
+    w.u64(stats.formedCorrect);
+    w.u64(stats.spec);
+    w.u64(stats.specCorrect);
+    for (const std::uint64_t v : stats.specBy)
+        w.u64(v);
+    for (const std::uint64_t v : stats.specCorrectBy)
+        w.u64(v);
+    w.u64(stats.bothSpec);
+    for (const std::uint64_t v : stats.selectorState)
+        w.u64(v);
+    w.u64(stats.missSelections);
+}
+
+/** Read what putPredictionStats wrote; false on underrun. */
+inline bool
+getPredictionStats(ByteReader &r, PredictionStats &stats)
+{
+    bool good = r.u64(stats.loads) && r.u64(stats.lbHits) &&
+                r.u64(stats.formed) && r.u64(stats.formedCorrect) &&
+                r.u64(stats.spec) && r.u64(stats.specCorrect);
+    for (std::uint64_t &v : stats.specBy)
+        good = good && r.u64(v);
+    for (std::uint64_t &v : stats.specCorrectBy)
+        good = good && r.u64(v);
+    good = good && r.u64(stats.bothSpec);
+    for (std::uint64_t &v : stats.selectorState)
+        good = good && r.u64(v);
+    return good && r.u64(stats.missSelections);
+}
 
 /**
  * Tally one resolved prediction into @p stats: the load's actual

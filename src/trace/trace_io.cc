@@ -4,6 +4,8 @@
 #include <cerrno>
 #include <cstring>
 
+#include "util/bytes.hh"
+
 namespace clap
 {
 
@@ -15,101 +17,69 @@ constexpr std::size_t recordBytes = 40;
 constexpr std::size_t fixedHeaderBytes = 8 + 4 + 8 + 4;
 constexpr std::size_t footerBytes = 4;
 
-void
-putU32(std::uint8_t *buf, std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        buf[i] = static_cast<std::uint8_t>(v >> (8 * i));
-}
+/** Offset of the u64 record count that TraceFileWriter::finish()
+ *  patches once the count is known. */
+constexpr long countOffset = 8 + 4;
 
 void
-putU64(std::uint8_t *buf, std::uint64_t v)
+encodeRecord(ByteWriter &w, const TraceRecord &rec)
 {
-    for (int i = 0; i < 8; ++i)
-        buf[i] = static_cast<std::uint8_t>(v >> (8 * i));
-}
-
-std::uint32_t
-getU32(const std::uint8_t *buf)
-{
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= static_cast<std::uint32_t>(buf[i]) << (8 * i);
-    return v;
-}
-
-std::uint64_t
-getU64(const std::uint8_t *buf)
-{
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(buf[i]) << (8 * i);
-    return v;
-}
-
-void
-encodeRecord(const TraceRecord &rec, std::uint8_t *buf)
-{
-    putU64(buf + 0, rec.pc);
-    putU64(buf + 8, rec.effAddr);
-    putU64(buf + 16, rec.target);
-    putU32(buf + 24, static_cast<std::uint32_t>(rec.immOffset));
-    buf[28] = static_cast<std::uint8_t>(rec.cls);
-    buf[29] = rec.srcA;
-    buf[30] = rec.srcB;
-    buf[31] = rec.dst;
-    buf[32] = rec.memSize;
-    buf[33] = rec.taken ? 1 : 0;
-    buf[34] = 0;
-    buf[35] = 0;
-    putU32(buf + 36, 0); // pad to 40 bytes
+    w.u64(rec.pc);
+    w.u64(rec.effAddr);
+    w.u64(rec.target);
+    w.u32(static_cast<std::uint32_t>(rec.immOffset));
+    w.u8(static_cast<std::uint8_t>(rec.cls));
+    w.u8(rec.srcA);
+    w.u8(rec.srcB);
+    w.u8(rec.dst);
+    w.u8(rec.memSize);
+    w.b(rec.taken);
+    w.u16(0); // 6 zero pad bytes: 40 per record
+    w.u32(0);
 }
 
 /**
- * Decode one on-disk record. @return false when the class byte is
- * out of enum range (the record must not reach the simulators).
+ * Decode one 40-byte on-disk record; @p cls receives the raw class
+ * byte. @return false when it is out of enum range (the record must
+ * not reach the simulators).
  */
 bool
-decodeRecord(const std::uint8_t *buf, TraceRecord &rec)
+decodeRecord(std::string_view bytes, TraceRecord &rec, std::uint8_t &cls)
 {
-    if (buf[28] >= static_cast<std::uint8_t>(InstClass::NumClasses))
+    ByteReader r(bytes);
+    std::uint32_t imm = 0;
+    std::uint8_t taken = 0;
+    if (!r.u64(rec.pc) || !r.u64(rec.effAddr) || !r.u64(rec.target) ||
+        !r.u32(imm) || !r.u8(cls) || !r.u8(rec.srcA) || !r.u8(rec.srcB) ||
+        !r.u8(rec.dst) || !r.u8(rec.memSize) || !r.u8(taken))
         return false;
-    rec.pc = getU64(buf + 0);
-    rec.effAddr = getU64(buf + 8);
-    rec.target = getU64(buf + 16);
-    rec.immOffset = static_cast<std::int32_t>(getU32(buf + 24));
-    rec.cls = static_cast<InstClass>(buf[28]);
-    rec.srcA = buf[29];
-    rec.srcB = buf[30];
-    rec.dst = buf[31];
-    rec.memSize = buf[32];
-    rec.taken = buf[33] != 0;
+    if (cls >= static_cast<std::uint8_t>(InstClass::NumClasses))
+        return false;
+    rec.immOffset = static_cast<std::int32_t>(imm);
+    rec.cls = static_cast<InstClass>(cls);
+    rec.taken = taken != 0;
     return true;
 }
 
+/** fwrite all of @p bytes. */
+bool
+writeBytes(std::FILE *file, const std::string &bytes)
+{
+    return std::fwrite(bytes.data(), 1, bytes.size(), file) ==
+        bytes.size();
+}
+
+/** Write the header with a zero record count (patched at finish). */
 bool
 writeHeader(std::FILE *file, const std::string &name,
-            std::uint32_t version, std::uint64_t count,
-            long &count_offset)
+            std::uint32_t version)
 {
-    if (std::fwrite(traceMagic, 1, 8, file) != 8)
-        return false;
-    std::uint8_t buf[8];
-    putU32(buf, version);
-    if (std::fwrite(buf, 1, 4, file) != 4)
-        return false;
-    count_offset = std::ftell(file);
-    putU64(buf, count);
-    if (std::fwrite(buf, 1, 8, file) != 8)
-        return false;
-    putU32(buf, static_cast<std::uint32_t>(name.size()));
-    if (std::fwrite(buf, 1, 4, file) != 4)
-        return false;
-    if (!name.empty() &&
-        std::fwrite(name.data(), 1, name.size(), file) != name.size()) {
-        return false;
-    }
-    return true;
+    ByteWriter w(fixedHeaderBytes + name.size());
+    w.bytes(std::string_view(traceMagic, sizeof(traceMagic)));
+    w.u32(version);
+    w.u64(0);
+    w.str(name);
+    return writeBytes(file, w.buffer());
 }
 
 Error
@@ -206,19 +176,21 @@ readTrace(const std::string &path, Trace &trace,
                 std::to_string(fixedHeaderBytes) + "-byte header"));
     }
 
-    char magic[8];
-    if (std::fread(magic, 1, 8, file) != 8)
-        return failWith(ioError("cannot read magic"));
-    if (std::memcmp(magic, traceMagic, 8) != 0) {
+    // The file holds at least the fixed header, so once read none of
+    // the header reads below can fail.
+    char fixed[fixedHeaderBytes];
+    if (std::fread(fixed, 1, fixedHeaderBytes, file) != fixedHeaderBytes)
+        return failWith(ioError("cannot read header"));
+    ByteReader header(std::string_view(fixed, fixedHeaderBytes));
+    std::string_view magic;
+    header.bytes(magic, sizeof(traceMagic));
+    if (magic != std::string_view(traceMagic, sizeof(traceMagic))) {
         return failWith(makeError(ErrorCode::BadMagic,
                                   "not a CLAP trace file"));
     }
 
-    std::uint8_t buf[recordBytes];
-    if (std::fread(buf, 1, 4, file) != 4)
-        return failWith(ioError("cannot read version"));
     TraceReadResult result;
-    result.version = getU32(buf);
+    header.u32(result.version);
     if (result.version != traceFormatVersionV1 &&
         result.version != traceFormatVersion) {
         return failWith(makeError(
@@ -227,12 +199,9 @@ readTrace(const std::string &path, Trace &trace,
                 std::to_string(result.version) + " (readable: 1, 2)"));
     }
 
-    if (std::fread(buf, 1, 8, file) != 8)
-        return failWith(ioError("cannot read record count"));
-    result.declared = getU64(buf);
-    if (std::fread(buf, 1, 4, file) != 4)
-        return failWith(ioError("cannot read name length"));
-    const std::uint32_t name_len = getU32(buf);
+    std::uint32_t name_len = 0;
+    header.u64(result.declared);
+    header.u32(name_len);
     if (name_len > maxTraceNameLen) {
         return failWith(makeError(
             ErrorCode::BadHeader,
@@ -281,6 +250,8 @@ readTrace(const std::string &path, Trace &trace,
 
     Crc32 crc;
     TraceRecord rec;
+    char buf[recordBytes];
+    std::uint8_t cls = 0;
     std::uint64_t loaded = 0;
     for (; loaded < to_read; ++loaded) {
         if (std::fread(buf, 1, recordBytes, file) != recordBytes) {
@@ -291,14 +262,14 @@ readTrace(const std::string &path, Trace &trace,
                 "record " + std::to_string(loaded) + " of " +
                     std::to_string(result.declared) + " cut short"));
         }
-        if (!decodeRecord(buf, rec)) {
+        if (!decodeRecord(std::string_view(buf, recordBytes), rec, cls)) {
             if (options.salvage)
                 break;
             return failWith(makeError(
                 ErrorCode::BadRecord,
                 "record " + std::to_string(loaded) +
                     " has out-of-range class byte " +
-                    std::to_string(buf[28])));
+                    std::to_string(cls)));
         }
         crc.update(buf, recordBytes);
         trace.append(rec);
@@ -311,18 +282,22 @@ readTrace(const std::string &path, Trace &trace,
     // (there is no way to locate the damaged record).
     if (result.version >= traceFormatVersion && !result.salvaged &&
         options.verifyChecksum) {
-        if (std::fread(buf, 1, footerBytes, file) != footerBytes) {
+        std::uint32_t stored = 0;
+        const bool have_footer =
+            std::fread(buf, 1, footerBytes, file) == footerBytes &&
+            ByteReader(std::string_view(buf, footerBytes)).u32(stored);
+        if (!have_footer) {
             if (!options.salvage) {
                 return failWith(makeError(ErrorCode::Truncated,
                                           "missing CRC-32 footer"));
             }
             result.salvaged = true;
-        } else if (getU32(buf) != crc.value()) {
+        } else if (stored != crc.value()) {
             if (!options.salvage) {
                 return failWith(makeError(
                     ErrorCode::BadChecksum,
                     "record payload CRC-32 mismatch (stored " +
-                        std::to_string(getU32(buf)) + ", computed " +
+                        std::to_string(stored) + ", computed " +
                         std::to_string(crc.value()) + ")"));
             }
             result.salvaged = true;
@@ -358,7 +333,7 @@ TraceFileWriter::TraceFileWriter(const std::string &path,
         fail(ioError("cannot open for writing"));
         return;
     }
-    if (!writeHeader(file_, name, version_, 0, countOffset_)) {
+    if (!writeHeader(file_, name, version_)) {
         fail(ioError("cannot write header"));
         discard();
     }
@@ -375,13 +350,13 @@ TraceFileWriter::append(const TraceRecord &rec)
 {
     if (!file_ || failed_)
         return;
-    std::uint8_t buf[recordBytes];
-    encodeRecord(rec, buf);
-    if (std::fwrite(buf, 1, recordBytes, file_) != recordBytes) {
+    ByteWriter w(recordBytes);
+    encodeRecord(w, rec);
+    if (!writeBytes(file_, w.buffer())) {
         fail(ioError("cannot append record " + std::to_string(count_)));
         return;
     }
-    crc_.update(buf, recordBytes);
+    crc_.update(w.buffer().data(), recordBytes);
     ++count_;
 }
 
@@ -403,15 +378,15 @@ TraceFileWriter::finish()
     }
 
     bool write_ok = true;
-    std::uint8_t buf[8];
     if (version_ >= traceFormatVersion) {
-        putU32(buf, crc_.value());
-        write_ok = std::fwrite(buf, 1, footerBytes, file_) ==
-            footerBytes;
+        ByteWriter footer;
+        footer.u32(crc_.value());
+        write_ok = writeBytes(file_, footer.buffer());
     }
-    if (write_ok && std::fseek(file_, countOffset_, SEEK_SET) == 0) {
-        putU64(buf, count_);
-        write_ok = std::fwrite(buf, 1, 8, file_) == 8;
+    if (write_ok && std::fseek(file_, countOffset, SEEK_SET) == 0) {
+        ByteWriter count;
+        count.u64(count_);
+        write_ok = writeBytes(file_, count.buffer());
     } else {
         write_ok = false;
     }

@@ -10,7 +10,7 @@
  *   name    u32 length + bytes   (length <= maxTraceNameLen)
  *   records count * 40 bytes     (pc, effAddr, target, immOffset,
  *                                 cls, srcA, srcB, dst, memSize, taken,
- *                                 2 pad bytes)
+ *                                 6 zero pad bytes)
  *   footer  u32 CRC-32           (v2 only; over all record bytes)
  *
  * Robustness guarantees (see DESIGN.md "Error handling & fault
@@ -173,7 +173,6 @@ class TraceFileWriter : public TraceSink
     std::uint32_t version_;
     std::FILE *file_ = nullptr;
     std::size_t count_ = 0;
-    long countOffset_ = 0;
     bool failed_ = false;
     Crc32 crc_;
     Error error_;

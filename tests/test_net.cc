@@ -381,13 +381,10 @@ TEST(NetServerClient, HelloVersionMismatchIsARefusedHandshake)
     ASSERT_TRUE(raw);
 
     // A well-formed Hello claiming a future wire version.
-    std::string payload;
-    putU16(payload, wireVersion + 7);
-    putString(payload, "time-traveller");
     Frame hello;
     hello.type = FrameType::Hello;
     hello.id = 1;
-    hello.payload = payload;
+    hello.payload = encodeHello("time-traveller", wireVersion + 7);
     const std::string bytes = encodeFrame(hello);
     ASSERT_TRUE((*raw)->sendAll(bytes.data(), bytes.size(), 1000));
 

@@ -412,50 +412,6 @@ TEST(Wire, OversizedLengthIsRejectedBeforeBuffering)
 
 // --- Payload codecs ------------------------------------------------
 
-TEST(WireCodec, PrimitivesRoundTripAndBoundsCheck)
-{
-    std::string out;
-    putU8(out, 0xab);
-    putU16(out, 0xcdef);
-    putU32(out, 0xdeadbeef);
-    putU64(out, 0x0123456789abcdefull);
-    putString(out, "hello");
-
-    std::size_t pos = 0;
-    std::uint8_t u8 = 0;
-    std::uint16_t u16 = 0;
-    std::uint32_t u32 = 0;
-    std::uint64_t u64 = 0;
-    std::string s;
-    EXPECT_TRUE(getU8(out, pos, u8));
-    EXPECT_TRUE(getU16(out, pos, u16));
-    EXPECT_TRUE(getU32(out, pos, u32));
-    EXPECT_TRUE(getU64(out, pos, u64));
-    EXPECT_TRUE(getString(out, pos, s));
-    EXPECT_EQ(u8, 0xab);
-    EXPECT_EQ(u16, 0xcdef);
-    EXPECT_EQ(u32, 0xdeadbeefu);
-    EXPECT_EQ(u64, 0x0123456789abcdefull);
-    EXPECT_EQ(s, "hello");
-    EXPECT_EQ(pos, out.size());
-
-    // Reading past the end fails instead of fabricating bytes.
-    EXPECT_FALSE(getU8(out, pos, u8));
-    pos = out.size() - 2;
-    EXPECT_FALSE(getU64(out, pos, u64));
-}
-
-TEST(WireCodec, TruncatedStringLengthIsRejected)
-{
-    std::string out;
-    putString(out, "payload");
-    out.resize(out.size() - 3); // cut the tail of the bytes
-
-    std::size_t pos = 0;
-    std::string s;
-    EXPECT_FALSE(getString(out, pos, s));
-}
-
 TEST(WireCodec, PredictRequestRoundTrips)
 {
     const LoadInfo info = sampleInfo();
