@@ -418,19 +418,13 @@ printResults()
 void
 parseChaosFlags(int &argc, char **argv)
 {
-    int out = 1;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const std::string prefix = "--chaos-seed=";
-        if (arg.compare(0, prefix.size(), prefix) == 0) {
-            chaosSeed = std::strtoull(
-                arg.c_str() + prefix.size(), nullptr, 0);
-            continue;
-        }
-        argv[out++] = argv[i];
-    }
-    argc = out;
-    argv[argc] = nullptr;
+    stripHarnessFlags(argc, argv, [](const std::string &arg) {
+        std::string value;
+        if (!flagValue(arg, "--chaos-seed=", value))
+            return false;
+        chaosSeed = parseFlagUint("--chaos-seed", value, 0);
+        return true;
+    });
 }
 
 } // namespace

@@ -34,7 +34,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -365,26 +364,16 @@ printResults()
 void
 parseNetFlags(int &argc, char **argv)
 {
-    int out = 1;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto valueOf = [&arg](const char *prefix) -> const char * {
-            const std::size_t len = std::strlen(prefix);
-            return arg.compare(0, len, prefix) == 0 ? arg.c_str() + len
-                                                    : nullptr;
-        };
-        if (const char *value = valueOf("--fault-rate=")) {
-            faultRate = std::strtod(value, nullptr);
-            continue;
-        }
-        if (const char *value = valueOf("--net-seed=")) {
-            netSeed = std::strtoull(value, nullptr, 0);
-            continue;
-        }
-        argv[out++] = argv[i];
-    }
-    argc = out;
-    argv[argc] = nullptr;
+    stripHarnessFlags(argc, argv, [](const std::string &arg) {
+        std::string value;
+        if (flagValue(arg, "--fault-rate=", value))
+            faultRate = parseFlagRate("--fault-rate", value);
+        else if (flagValue(arg, "--net-seed=", value))
+            netSeed = parseFlagUint("--net-seed", value, 0);
+        else
+            return false;
+        return true;
+    });
 }
 
 } // namespace

@@ -685,17 +685,13 @@ printResults()
 void
 parseNetChaosFlags(int &argc, char **argv)
 {
-    int out = 1;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg.compare(0, 16, "--netchaos-seed=") == 0) {
-            chaosSeed = std::strtoull(arg.c_str() + 16, nullptr, 0);
-            continue;
-        }
-        argv[out++] = argv[i];
-    }
-    argc = out;
-    argv[argc] = nullptr;
+    stripHarnessFlags(argc, argv, [](const std::string &arg) {
+        std::string value;
+        if (!flagValue(arg, "--netchaos-seed=", value))
+            return false;
+        chaosSeed = parseFlagUint("--netchaos-seed", value, 0);
+        return true;
+    });
 }
 
 } // namespace

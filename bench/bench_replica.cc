@@ -770,17 +770,13 @@ printResults()
 void
 parseReplicaFlags(int &argc, char **argv)
 {
-    int out = 1;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg.compare(0, 15, "--replica-seed=") == 0) {
-            replicaSeed = std::strtoull(arg.c_str() + 15, nullptr, 0);
-            continue;
-        }
-        argv[out++] = argv[i];
-    }
-    argc = out;
-    argv[argc] = nullptr;
+    stripHarnessFlags(argc, argv, [](const std::string &arg) {
+        std::string value;
+        if (!flagValue(arg, "--replica-seed=", value))
+            return false;
+        replicaSeed = parseFlagUint("--replica-seed", value, 0);
+        return true;
+    });
 }
 
 } // namespace

@@ -43,7 +43,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -447,27 +446,16 @@ printResults()
 void
 parseChaosFlags(int &argc, char **argv)
 {
-    int out = 1;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto valueOf = [&arg](const char *prefix) -> const char * {
-            const std::size_t len = std::strlen(prefix);
-            return arg.compare(0, len, prefix) == 0
-                       ? arg.c_str() + len
-                       : nullptr;
-        };
-        if (const char *value = valueOf("--fault-rate=")) {
-            faultRatePerSec = std::strtod(value, nullptr);
-            continue;
-        }
-        if (const char *value = valueOf("--chaos-seed=")) {
-            chaosSeed = std::strtoull(value, nullptr, 0);
-            continue;
-        }
-        argv[out++] = argv[i];
-    }
-    argc = out;
-    argv[argc] = nullptr;
+    stripHarnessFlags(argc, argv, [](const std::string &arg) {
+        std::string value;
+        if (flagValue(arg, "--fault-rate=", value))
+            faultRatePerSec = parseFlagRate("--fault-rate", value);
+        else if (flagValue(arg, "--chaos-seed=", value))
+            chaosSeed = parseFlagUint("--chaos-seed", value, 0);
+        else
+            return false;
+        return true;
+    });
 }
 
 } // namespace

@@ -29,6 +29,8 @@
 #ifndef CLAP_BENCH_BENCH_UTIL_HH
 #define CLAP_BENCH_BENCH_UTIL_HH
 
+#include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -295,61 +297,117 @@ benchJson()
     return json;
 }
 
+/** Print "bench flags: <message>" and exit 2: the one way a bench
+ *  binary rejects its command line, before any sweep runs. */
+[[noreturn]] inline void
+badFlags(const std::string &message)
+{
+    std::fprintf(stderr, "bench flags: %s\n", message.c_str());
+    std::exit(2);
+}
+
+/** If @p arg is `<prefix><value>`, store the value and return true. */
+inline bool
+flagValue(const std::string &arg, const std::string &prefix,
+          std::string &value)
+{
+    if (arg.compare(0, prefix.size(), prefix) != 0)
+        return false;
+    value = arg.substr(prefix.size());
+    return true;
+}
+
+/**
+ * Strict unsigned value of @p flag: all of @p text must be digits.
+ * Base 10 by default; base 0 also takes hex (0x...) and octal
+ * (0...), as for seeds. Anything else exits via badFlags().
+ */
+inline std::uint64_t
+parseFlagUint(const std::string &flag, const std::string &text,
+              int base = 10)
+{
+    // stoull skips leading blanks and negates a leading '-'.
+    if (!text.empty() &&
+        std::isdigit(static_cast<unsigned char>(text[0]))) {
+        try {
+            std::size_t end = 0;
+            const unsigned long long value =
+                std::stoull(text, &end, base);
+            if (end == text.size())
+                return value;
+        } catch (const std::exception &) {
+        }
+    }
+    badFlags("bad value '" + text + "' for " + flag);
+}
+
+/** Strict finite, non-negative value of @p flag (a rate). */
+inline double
+parseFlagRate(const std::string &flag, const std::string &text)
+{
+    if (!text.empty() &&
+        (std::isdigit(static_cast<unsigned char>(text[0])) ||
+         text[0] == '.')) {
+        try {
+            std::size_t end = 0;
+            const double value = std::stod(text, &end);
+            if (end == text.size() && std::isfinite(value))
+                return value;
+        } catch (const std::exception &) {
+        }
+    }
+    badFlags("bad value '" + text + "' for " + flag);
+}
+
+/**
+ * Remove a harness's own flags from argv before benchMain, which
+ * rejects every flag it does not know. @p take sees each argument
+ * and returns true when it consumed it (parsing its value with the
+ * strict parsers above).
+ */
+inline void
+stripHarnessFlags(int &argc, char **argv,
+                  const std::function<bool(const std::string &)> &take)
+{
+    int out = 1;
+    for (int i = 1; i < argc; ++i) {
+        if (!take(argv[i]))
+            argv[out++] = argv[i];
+    }
+    argc = out;
+    argv[argc] = nullptr;
+}
+
 /** Parse the bench sweep flags; prints the error and exits 2 on a
  *  bad value or an unknown flag. */
 inline void
 parseSweepFlags(int argc, char **argv, SweepOptions &options)
 {
-    auto bail = [](const std::string &message) {
-        std::fprintf(stderr, "bench flags: %s\n", message.c_str());
-        std::exit(2);
-    };
-    auto parseUint = [&bail](const std::string &flag,
-                             const std::string &text) -> std::uint64_t {
-        try {
-            std::size_t end = 0;
-            const unsigned long long value = std::stoull(text, &end);
-            if (end != text.size())
-                throw std::invalid_argument(text);
-            return value;
-        } catch (const std::exception &) {
-            bail("bad value '" + text + "' for " + flag);
-            return 0; // unreachable
-        }
-    };
-
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        auto valueOf = [&](const std::string &prefix,
-                           std::string &value) {
-            if (arg.compare(0, prefix.size(), prefix) != 0)
-                return false;
-            value = arg.substr(prefix.size());
-            return true;
-        };
         std::string value;
-        if (valueOf("--jobs=", value)) {
+        if (flagValue(arg, "--jobs=", value)) {
             options.jobs = static_cast<unsigned>(
-                parseUint("--jobs", value));
+                parseFlagUint("--jobs", value));
             if (options.jobs == 0)
-                bail("--jobs must be >= 1");
-        } else if (valueOf("--timeout-ms=", value)) {
-            options.timeoutMs = parseUint("--timeout-ms", value);
-        } else if (valueOf("--retries=", value)) {
+                badFlags("--jobs must be >= 1");
+        } else if (flagValue(arg, "--timeout-ms=", value)) {
+            options.timeoutMs = parseFlagUint("--timeout-ms", value);
+        } else if (flagValue(arg, "--retries=", value)) {
             options.retries = static_cast<unsigned>(
-                parseUint("--retries", value));
-        } else if (valueOf("--backoff-ms=", value)) {
-            options.backoffMs = parseUint("--backoff-ms", value);
-        } else if (valueOf("--journal=", value)) {
+                parseFlagUint("--retries", value));
+        } else if (flagValue(arg, "--backoff-ms=", value)) {
+            options.backoffMs = parseFlagUint("--backoff-ms", value);
+        } else if (flagValue(arg, "--journal=", value)) {
             options.journalPath = value;
         } else if (arg == "--resume") {
             options.resume = true;
-        } else if (valueOf("--out=", value)) {
+        } else if (flagValue(arg, "--out=", value)) {
             options.outPath = value;
         } else if (arg == "--no-json") {
             options.noJson = true;
         } else {
-            bail("unknown flag " + arg);
+            badFlags("unknown flag " + arg);
         }
     }
 }

@@ -24,9 +24,11 @@ constexpr long countOffset = 8 + 4;
 void
 encodeRecord(ByteWriter &w, const TraceRecord &rec)
 {
+    // The in-memory record has one address field: it goes to the slot
+    // the class uses, and the other slot is 0.
     w.u64(rec.pc);
-    w.u64(rec.effAddr);
-    w.u64(rec.target);
+    w.u64(rec.isMem() ? rec.effAddr : 0);
+    w.u64(rec.isMem() ? 0 : rec.target);
     w.u32(static_cast<std::uint32_t>(rec.immOffset));
     w.u8(static_cast<std::uint8_t>(rec.cls));
     w.u8(rec.srcA);
@@ -39,26 +41,49 @@ encodeRecord(ByteWriter &w, const TraceRecord &rec)
 }
 
 /**
- * Decode one 40-byte on-disk record; @p cls receives the raw class
- * byte. @return false when it is out of enum range (the record must
- * not reach the simulators).
+ * Decode one 40-byte on-disk record into the 24-byte in-memory one.
+ * @return an empty string on success, else why the record cannot
+ *         reach the simulators: an out-of-range class byte, or a
+ *         record the in-memory layout cannot hold (an address in the
+ *         slot its class does not use, or memSize above
+ *         TraceRecord::maxMemSize).
  */
-bool
-decodeRecord(std::string_view bytes, TraceRecord &rec, std::uint8_t &cls)
+std::string
+decodeRecord(std::string_view bytes, TraceRecord &rec)
 {
     ByteReader r(bytes);
+    std::uint64_t pc = 0, eff_addr = 0, target = 0;
     std::uint32_t imm = 0;
-    std::uint8_t taken = 0;
-    if (!r.u64(rec.pc) || !r.u64(rec.effAddr) || !r.u64(rec.target) ||
-        !r.u32(imm) || !r.u8(cls) || !r.u8(rec.srcA) || !r.u8(rec.srcB) ||
-        !r.u8(rec.dst) || !r.u8(rec.memSize) || !r.u8(taken))
-        return false;
-    if (cls >= static_cast<std::uint8_t>(InstClass::NumClasses))
-        return false;
-    rec.immOffset = static_cast<std::int32_t>(imm);
+    std::uint8_t cls = 0, src_a = 0, src_b = 0, dst = 0, mem_size = 0,
+                 taken = 0;
+    if (!r.u64(pc) || !r.u64(eff_addr) || !r.u64(target) ||
+        !r.u32(imm) || !r.u8(cls) || !r.u8(src_a) || !r.u8(src_b) ||
+        !r.u8(dst) || !r.u8(mem_size) || !r.u8(taken))
+        return "is shorter than a record";
+    if (cls >= numInstClasses)
+        return "has out-of-range class byte " + std::to_string(cls);
     rec.cls = static_cast<InstClass>(cls);
+    if (rec.isMem() ? target != 0 : eff_addr != 0) {
+        return std::string("is a ") + instClassName(rec.cls) +
+            " with a nonzero " + (rec.isMem() ? "target" : "effAddr");
+    }
+    if (mem_size > TraceRecord::maxMemSize) {
+        return "has memSize " + std::to_string(mem_size) +
+            " above the limit of " +
+            std::to_string(TraceRecord::maxMemSize);
+    }
+    rec.pc = pc;
+    if (rec.isMem())
+        rec.effAddr = eff_addr;
+    else
+        rec.target = target;
+    rec.immOffset = static_cast<std::int32_t>(imm);
+    rec.srcA = src_a;
+    rec.srcB = src_b;
+    rec.dst = dst;
+    rec.memSize = mem_size;
     rec.taken = taken != 0;
-    return true;
+    return {};
 }
 
 /** fwrite all of @p bytes. */
@@ -251,7 +276,6 @@ readTrace(const std::string &path, Trace &trace,
     Crc32 crc;
     TraceRecord rec;
     char buf[recordBytes];
-    std::uint8_t cls = 0;
     std::uint64_t loaded = 0;
     for (; loaded < to_read; ++loaded) {
         if (std::fread(buf, 1, recordBytes, file) != recordBytes) {
@@ -262,14 +286,14 @@ readTrace(const std::string &path, Trace &trace,
                 "record " + std::to_string(loaded) + " of " +
                     std::to_string(result.declared) + " cut short"));
         }
-        if (!decodeRecord(std::string_view(buf, recordBytes), rec, cls)) {
+        if (const std::string why =
+                decodeRecord(std::string_view(buf, recordBytes), rec);
+            !why.empty()) {
             if (options.salvage)
                 break;
             return failWith(makeError(
                 ErrorCode::BadRecord,
-                "record " + std::to_string(loaded) +
-                    " has out-of-range class byte " +
-                    std::to_string(cls)));
+                "record " + std::to_string(loaded) + " " + why));
         }
         crc.update(buf, recordBytes);
         trace.append(rec);

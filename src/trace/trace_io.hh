@@ -13,6 +13,12 @@
  *                                 6 zero pad bytes)
  *   footer  u32 CRC-32           (v2 only; over all record bytes)
  *
+ * The on-disk record is wider than the 24-byte in-memory TraceRecord
+ * (trace/record.hh), which has one address field and a 4-bit memSize.
+ * The writer puts that address in the effAddr slot for loads/stores
+ * and in the target slot otherwise, and 0 in the other slot; the
+ * reader rejects a record that has both (see readTrace).
+ *
  * Robustness guarantees (see DESIGN.md "Error handling & fault
  * model"):
  *  - every header field is sanity-bounded before it is trusted: the
@@ -22,7 +28,9 @@
  *    std::string or reserve();
  *  - every record's instruction-class byte is range-validated, so a
  *    corrupt record cannot propagate an invalid enum into the
- *    simulators;
+ *    simulators, and a record the in-memory layout cannot hold (a
+ *    load/store with a nonzero target, any other class with a nonzero
+ *    effAddr, or memSize above 15) is rejected the same way;
  *  - v2 files carry a CRC-32 footer over the record payload;
  *  - a salvage mode recovers the valid record prefix of a truncated
  *    or tail-corrupted file;
@@ -60,9 +68,9 @@ struct TraceReadOptions
 {
     /// Recover the valid record prefix of a truncated or
     /// tail-corrupted file instead of failing: header damage still
-    /// errors out, but a short file, an out-of-range record class, or
-    /// a CRC mismatch yields the records up to the damage point with
-    /// TraceReadResult::salvaged set.
+    /// errors out, but a short file, a bad record (see BadRecord in
+    /// readTrace), or a CRC mismatch yields the records up to the
+    /// damage point with TraceReadResult::salvaged set.
     bool salvage = false;
 
     /// Verify the v2 CRC-32 footer (ignored for v1 files).
@@ -114,8 +122,9 @@ bool readTrace(const std::string &path, Trace &trace);
  * @return Read diagnostics, or a typed Error: IoError (open/read
  *         failure), BadMagic, BadVersion, BadHeader (field out of
  *         sanity bounds), Truncated (file shorter than the header
- *         promises), BadRecord (invalid class byte), or BadChecksum
- *         (v2 CRC mismatch). On error @p trace is left cleared.
+ *         promises), BadRecord (invalid class byte, or a record
+ *         TraceRecord cannot hold), or BadChecksum (v2 CRC
+ *         mismatch). On error @p trace is left cleared.
  */
 Expected<TraceReadResult> readTrace(const std::string &path, Trace &trace,
                                     const TraceReadOptions &options);

@@ -46,8 +46,7 @@ void
 printTraceStats(const TraceStats &stats, std::ostream &os)
 {
     os << "instructions: " << stats.totalInsts << '\n';
-    for (std::size_t c = 0;
-         c < static_cast<std::size_t>(InstClass::NumClasses); ++c) {
+    for (std::size_t c = 0; c < numInstClasses; ++c) {
         const auto cls = static_cast<InstClass>(c);
         if (stats.count(cls) == 0)
             continue;
@@ -64,13 +63,11 @@ printTraceHistogram(const TraceStats &stats, std::ostream &os)
 {
     constexpr int barWidth = 40;
     std::uint64_t max_count = 0;
-    for (std::size_t c = 0;
-         c < static_cast<std::size_t>(InstClass::NumClasses); ++c)
+    for (std::size_t c = 0; c < numInstClasses; ++c)
         max_count = std::max(max_count, stats.perClass[c]);
 
     os << "instruction class histogram:\n";
-    for (std::size_t c = 0;
-         c < static_cast<std::size_t>(InstClass::NumClasses); ++c) {
+    for (std::size_t c = 0; c < numInstClasses; ++c) {
         const auto cls = static_cast<InstClass>(c);
         const std::uint64_t count = stats.count(cls);
         const double percent = 100.0 * ratio(count, stats.totalInsts);

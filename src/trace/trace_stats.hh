@@ -21,8 +21,7 @@ namespace clap
 struct TraceStats
 {
     std::uint64_t totalInsts = 0;
-    std::array<std::uint64_t, static_cast<std::size_t>(
-        InstClass::NumClasses)> perClass{};
+    std::array<std::uint64_t, numInstClasses> perClass{};
     std::uint64_t staticLoads = 0;   ///< distinct load PCs
     std::uint64_t staticInsts = 0;   ///< distinct PCs
     std::uint64_t takenBranches = 0;

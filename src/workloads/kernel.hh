@@ -18,6 +18,7 @@
 #define CLAP_WORKLOADS_KERNEL_HH
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 
 #include "trace/trace.hh"
@@ -95,6 +96,8 @@ class Emitter
      * Load from simulated address @p addr with opcode immediate
      * @p imm. @p addr_reg is the register holding the base (creates
      * the dependency), @p dst receives the loaded value.
+     * @throws std::invalid_argument if @p size exceeds
+     *         TraceRecord::maxMemSize.
      */
     void
     load(unsigned slot, std::uint64_t addr, std::int32_t imm,
@@ -108,11 +111,12 @@ class Emitter
         rec.immOffset = imm;
         rec.dst = dst;
         rec.srcA = addr_reg;
-        rec.memSize = size;
+        rec.memSize = checkedMemSize(size);
         sink_->append(rec);
     }
 
-    /** Store of @p val_reg to simulated address @p addr. */
+    /** Store of @p val_reg to simulated address @p addr.
+     *  @throws std::invalid_argument like load(). */
     void
     store(unsigned slot, std::uint64_t addr, std::int32_t imm,
           std::uint8_t val_reg, std::uint8_t addr_reg = 0,
@@ -125,7 +129,7 @@ class Emitter
         rec.immOffset = imm;
         rec.srcA = val_reg;
         rec.srcB = addr_reg;
-        rec.memSize = size;
+        rec.memSize = checkedMemSize(size);
         sink_->append(rec);
     }
 
@@ -165,6 +169,19 @@ class Emitter
     }
 
   private:
+    /** @p size, if the record's 4-bit memSize field can hold it. */
+    static std::uint8_t
+    checkedMemSize(std::uint8_t size)
+    {
+        if (size > TraceRecord::maxMemSize) {
+            throw std::invalid_argument(
+                "access size " + std::to_string(size) +
+                " exceeds the trace record's limit of " +
+                std::to_string(TraceRecord::maxMemSize) + " bytes");
+        }
+        return size;
+    }
+
     /** Byte distance between code variants (256 slots each). */
     static constexpr std::uint64_t variantStride = 0x400;
 

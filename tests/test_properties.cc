@@ -112,6 +112,22 @@ struct FuzzConfig
     unsigned gapCycles;
 };
 
+/**
+ * Print a config by its fields, the three flags as one bit string
+ * (globalCorrelation, perPath, pipelined). Without this gtest dumps
+ * the raw struct bytes, padding included, so the ctest names would
+ * change between builds.
+ */
+void
+PrintTo(const FuzzConfig &c, std::ostream *os)
+{
+    *os << "tag" << c.tagBits << " path" << c.pathBits << " pf"
+        << c.pfBits << " pft" << c.pfTableBits << " hist"
+        << c.historyLength << " ways" << c.ltAssoc << " flags"
+        << c.globalCorrelation << c.perPath << c.pipelined << " gap"
+        << c.gapCycles;
+}
+
 class ConfigFuzzProperty : public ::testing::TestWithParam<FuzzConfig>
 {
 };

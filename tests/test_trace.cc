@@ -49,6 +49,38 @@ TEST(TraceRecord, ChangesFlow)
     EXPECT_TRUE(rec.changesFlow());
 }
 
+TEST(TraceRecord, PackedFieldsHoldTheirFullRange)
+{
+    // cls, taken and memSize share one byte: each must hold its
+    // largest value without disturbing its neighbours.
+    TraceRecord rec;
+    rec.cls = InstClass::Ret;
+    rec.memSize = TraceRecord::maxMemSize;
+    rec.taken = true;
+    EXPECT_EQ(rec.cls, InstClass::Ret);
+    EXPECT_EQ(rec.memSize, TraceRecord::maxMemSize);
+    EXPECT_TRUE(rec.taken);
+    rec.taken = false;
+    EXPECT_EQ(rec.cls, InstClass::Ret);
+    EXPECT_EQ(rec.memSize, TraceRecord::maxMemSize);
+    rec.cls = InstClass::Alu;
+    rec.memSize = 0;
+    EXPECT_FALSE(rec.taken);
+    EXPECT_EQ(rec, TraceRecord{});
+}
+
+TEST(TraceRecord, EffAddrAndTargetShareTheAddressField)
+{
+    TraceRecord branch;
+    branch.cls = InstClass::Branch;
+    branch.target = 0x08048000;
+    EXPECT_EQ(branch.effAddr, 0x08048000u);
+
+    TraceRecord other = branch;
+    other.target = 0x08048004;
+    EXPECT_NE(other, branch);
+}
+
 TEST(TraceRecord, ClassNamesAreDistinct)
 {
     EXPECT_STREQ(instClassName(InstClass::Load), "load");

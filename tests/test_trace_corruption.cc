@@ -19,6 +19,8 @@
 
 #include "test_util.hh"
 #include "trace/trace_io.hh"
+#include "util/atomic_file.hh"
+#include "util/bytes.hh"
 
 namespace clap
 {
@@ -84,19 +86,32 @@ struct CorruptionCase
     std::size_t offset;                ///< patch location
     std::vector<std::uint8_t> bytes;   ///< patch payload
     ErrorCode expected;
+    std::uint32_t version = traceFormatVersion; ///< of the sample file
 };
 
 /**
- * Print a case by its patch offset and expected code. Without this
- * gtest dumps the raw struct bytes, which include the label pointer,
- * so the listed test names (and thus the ctest names) would change
- * with every run under ASLR.
+ * Print a case by its patch offset and expected code (and its format
+ * version when not the current one). Without this gtest dumps the raw
+ * struct bytes, which include the label pointer, so the listed test
+ * names (and thus the ctest names) would change with every run under
+ * ASLR.
  */
 void
 PrintTo(const CorruptionCase &c, std::ostream *os)
 {
     *os << '@' << c.offset << ' ' << errorCodeName(c.expected);
+    if (c.version != traceFormatVersion)
+        *os << " v" << c.version;
 }
+
+// Field offsets inside a 40-byte on-disk record.
+constexpr std::size_t targetField = 16;
+constexpr std::size_t classField = 28;
+constexpr std::size_t memSizeField = 32;
+
+/** Start of record 2 of the sample file: a load with a nonzero
+ *  effAddr and a zero target. */
+constexpr std::size_t record2 = headerBytes + 2 * recordBytes;
 
 const CorruptionCase corruptionCases[] = {
     {"flipped magic byte", 0, {'X'}, ErrorCode::BadMagic},
@@ -119,8 +134,24 @@ const CorruptionCase corruptionCases[] = {
     {"invalid class byte", headerBytes + recordBytes + 28, {0xee},
      ErrorCode::BadRecord},
     {"class = NumClasses", headerBytes + recordBytes + 28,
-     {static_cast<std::uint8_t>(InstClass::NumClasses)},
+     {static_cast<std::uint8_t>(numInstClasses)}, ErrorCode::BadRecord},
+    // Records the 24-byte in-memory TraceRecord cannot hold: it has
+    // one address field (effAddr for loads/stores, target otherwise)
+    // and a 4-bit memSize. The CRC is valid (see below), so the
+    // record rule is what fails.
+    {"load with target v1", record2 + targetField, {0x01},
+     ErrorCode::BadRecord, traceFormatVersionV1},
+    {"load with target v2", record2 + targetField, {0x01},
      ErrorCode::BadRecord},
+    {"branch with effAddr v1", record2 + classField,
+     {static_cast<std::uint8_t>(InstClass::Branch)}, ErrorCode::BadRecord,
+     traceFormatVersionV1},
+    {"branch with effAddr v2", record2 + classField,
+     {static_cast<std::uint8_t>(InstClass::Branch)},
+     ErrorCode::BadRecord},
+    {"memSize 16 v1", record2 + memSizeField, {16}, ErrorCode::BadRecord,
+     traceFormatVersionV1},
+    {"memSize 16 v2", record2 + memSizeField, {16}, ErrorCode::BadRecord},
     // Payload corruption that keeps the class byte valid is caught by
     // the CRC-32 footer.
     {"flipped payload byte", headerBytes + 2 * recordBytes + 3, {0xab},
@@ -138,7 +169,24 @@ class CorruptionCaseTest
 TEST_P(CorruptionCaseTest, ReturnsTypedError)
 {
     const CorruptionCase &c = GetParam();
+    if (c.version != traceFormatVersion) {
+        TraceWriteOptions options;
+        options.version = c.version;
+        ASSERT_TRUE(writeTrace(reference_, path_, options));
+    }
     patch(c.offset, c.bytes);
+    const bool bad_record = c.expected == ErrorCode::BadRecord;
+    if (bad_record && c.version == traceFormatVersion) {
+        // Re-seal the footer over the patched records, so the read
+        // fails on the record itself and not on its checksum.
+        auto bytes = readFileBytes(path_);
+        ASSERT_TRUE(bytes) << bytes.error().str();
+        ByteWriter footer;
+        footer.u32(crc32(bytes->data() + headerBytes,
+                         numRecords * recordBytes));
+        patch(headerBytes + numRecords * recordBytes,
+              {footer.buffer().begin(), footer.buffer().end()});
+    }
 
     Trace loaded;
     const auto result = readTrace(path_, loaded, TraceReadOptions{});
@@ -151,6 +199,23 @@ TEST_P(CorruptionCaseTest, ReturnsTypedError)
     // The output trace is left empty, and the bool API agrees.
     EXPECT_EQ(loaded.size(), 0u);
     EXPECT_FALSE(readTrace(path_, loaded));
+    if (!bad_record)
+        return;
+
+    // A bad record is named by its index, and salvage keeps every
+    // record before it.
+    const std::size_t index = (c.offset - headerBytes) / recordBytes;
+    EXPECT_NE(result.error().message().find(
+                  "record " + std::to_string(index) + " "),
+              std::string::npos)
+        << result.error().message();
+    const auto salvaged = salvageTrace(path_, loaded);
+    ASSERT_TRUE(salvaged) << salvaged.error().str();
+    EXPECT_TRUE(salvaged->salvaged);
+    EXPECT_EQ(salvaged->version, c.version);
+    ASSERT_EQ(loaded.size(), index);
+    for (std::size_t i = 0; i < index; ++i)
+        EXPECT_EQ(loaded[i], reference_[i]) << "record " << i;
 }
 
 INSTANTIATE_TEST_SUITE_P(

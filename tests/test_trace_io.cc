@@ -32,11 +32,22 @@ class TraceIoTest : public ::testing::Test
     std::string path_;
 };
 
+/** One record of every kind the workload Emitter produces (alu,
+ *  load, branch, store, call, ret), each with every field its kind
+ *  uses set to a nonzero value. */
 Trace
 sampleTrace()
 {
     Trace trace("sample");
     TraceRecord rec;
+    rec.pc = 0x0804800c;
+    rec.cls = InstClass::Alu;
+    rec.dst = 5;
+    rec.srcA = 6;
+    rec.srcB = 7;
+    trace.append(rec);
+
+    rec = TraceRecord{};
     rec.pc = 0x08048010;
     rec.cls = InstClass::Load;
     rec.effAddr = 0x10000020;
@@ -60,6 +71,17 @@ sampleTrace()
     rec.srcA = 1;
     rec.srcB = 2;
     rec.memSize = 8;
+    trace.append(rec);
+
+    rec = TraceRecord{};
+    rec.pc = 0x0804801c;
+    rec.cls = InstClass::Call;
+    rec.target = 0x08049000;
+    trace.append(rec);
+
+    rec = TraceRecord{};
+    rec.pc = 0x08049004;
+    rec.cls = InstClass::Ret;
     trace.append(rec);
     return trace;
 }

@@ -4,6 +4,7 @@
 
 #include <map>
 #include <set>
+#include <stdexcept>
 
 #include "test_util.hh"
 #include "trace/trace_stats.hh"
@@ -385,6 +386,23 @@ TEST(Kernels, VariantsMultiplyStaticLoads)
     const auto s1 = computeTraceStats(h1.trace());
     const auto s8 = computeTraceStats(h8.trace());
     EXPECT_GT(s8.staticLoads, 3 * s1.staticLoads);
+}
+
+TEST(Emitter, RejectsAccessSizeTheRecordCannotHold)
+{
+    KernelHarness h;
+    Emitter em(h.context());
+    em.load(0, 0x1000, 0, 1, 0, TraceRecord::maxMemSize);
+    em.store(1, 0x1000, 0, 1, 0, TraceRecord::maxMemSize);
+    ASSERT_EQ(h.trace().size(), 2u);
+    EXPECT_EQ(h.trace()[0].memSize, TraceRecord::maxMemSize);
+    EXPECT_EQ(h.trace()[1].memSize, TraceRecord::maxMemSize);
+
+    // One past the 4-bit field would silently wrap to 0.
+    EXPECT_THROW(em.load(2, 0x1000, 0, 1, 0, 16), std::invalid_argument);
+    EXPECT_THROW(em.store(3, 0x1000, 0, 1, 0, 255),
+                 std::invalid_argument);
+    EXPECT_EQ(h.trace().size(), 2u);
 }
 
 } // namespace
